@@ -121,9 +121,12 @@ func (p *Prepared) analyze() (*Result, error) {
 	}
 
 	// Failure-mode split over absorbing states, derived from the same
-	// solution (no second solve).
-	probs := sol.AbsorptionProbabilities()
-	for state, p := range probs {
+	// solution (no second solve). Summed in state order, so repeated
+	// evaluations of one config agree bit for bit.
+	for state, p := range sol.AbsorptionProbabilityVector() {
+		if p == 0 {
+			continue
+		}
 		switch model.Classify(graph.States[state]) {
 		case CauseC1:
 			res.ProbC1 += p

@@ -1,0 +1,158 @@
+package core
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"repro/internal/ctmc"
+	"repro/internal/linalg"
+)
+
+// paperModelVariants are the detection architectures the direct-rung tests
+// cover: the paper's m-voting, a host-based IDS (m = 1: each target judged
+// by one host's own verdict), and the cluster-head comparator.
+func paperModelVariants(n int) map[string]Config {
+	voting := DefaultConfig()
+	voting.N = n
+	host := voting
+	host.M = 1
+	head := voting
+	head.Protocol = ProtocolClusterHead
+	return map[string]Config{"voting": voting, "host-based": host, "cluster-head": head}
+}
+
+// iterativeIters sums the iterations every iterative backend has spent.
+func iterativeIters() uint64 {
+	by := ctmc.SolveIterationsByBackend()
+	return by[ctmc.BackendSORCascade] + by[ctmc.BackendILUBiCGSTAB] + by[ctmc.BackendGMRES]
+}
+
+// TestAutoDirectRungOnPaperModels pins that auto solves of the paper's
+// chains are answered by the exact block-triangular rung — no iterative
+// backend spends an iteration and no fallback engages — and that the
+// answer agrees with an explicit ilu-bicgstab solve to 1e-10 at every N and
+// with dense LU to 1e-12 at N = 20.
+func TestAutoDirectRungOnPaperModels(t *testing.T) {
+	for _, n := range []int{20, 40, 60} {
+		for name, cfg := range paperModelVariants(n) {
+			cfg.Solver = ctmc.BackendAuto
+			p, err := Prepare(cfg)
+			if err != nil {
+				t.Fatalf("N=%d %s: %v", n, name, err)
+			}
+			itersBefore, fallbacksBefore := iterativeIters(), ctmc.Fallbacks()
+			sol, err := p.Solution()
+			if err != nil {
+				t.Fatalf("N=%d %s: %v", n, name, err)
+			}
+			if d := iterativeIters() - itersBefore; d != 0 {
+				t.Errorf("N=%d %s: iterative backends spent %d iterations; the direct rung should have answered", n, name, d)
+			}
+			if d := ctmc.Fallbacks() - fallbacksBefore; d != 0 {
+				t.Errorf("N=%d %s: %d fallbacks counted", n, name, d)
+			}
+			y := sol.SojournTimes()
+
+			iluCfg := cfg
+			iluCfg.Solver = ctmc.BackendILUBiCGSTAB
+			ip, err := Prepare(iluCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			isol, err := ip.Solution()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSojournClose(t, y, isol.SojournTimes(), 1e-10, "N=%d %s vs ilu-bicgstab", n, name)
+			if n == 20 {
+				assertSojournClose(t, y, denseSojournReference(t, p), 1e-12, "N=%d %s vs dense LU", n, name)
+			}
+		}
+	}
+}
+
+// assertSojournClose fails unless got and want agree entrywise to tol
+// relative to the vector's scale.
+func assertSojournClose(t *testing.T, got, want linalg.Vector, tol float64, format string, args ...any) {
+	t.Helper()
+	scale := 1 + want.NormInf()
+	for i := range want {
+		if d := math.Abs(got[i] - want[i]); d > tol*scale {
+			t.Fatalf(format+": sojourn[%d] = %.17g, want %.17g (diff %g)", append(args, i, got[i], want[i], d)...)
+		}
+	}
+}
+
+// TestAnalyzeBitReproducible pins that repeated evaluations of one config
+// return bit-identical Results, the absorption split included.
+func TestAnalyzeBitReproducible(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.N = 20
+	first, err := Analyze(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep := 1; rep < 20; rep++ {
+		got, err := Analyze(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("Analyze call %d differs from the first:\n got %+v\nwant %+v", rep, got, first)
+		}
+	}
+}
+
+// TestPatchedSensitivitiesMatchFullPrepare pins the value-patched chain's
+// shared direct factorization: after PatchRates the next solve must
+// refresh the factors, so the patched sojourn solve and the working
+// chain's own forward-sensitivity solves stay on the direct rung (no
+// iterative backend spends an iteration) and match a full prepare of the
+// same point.
+func TestPatchedSensitivitiesMatchFullPrepare(t *testing.T) {
+	base := DefaultConfig()
+	base.N = 15
+	base.Solver = ctmc.BackendAuto
+	donor, err := Prepare(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd, err := NewPreparedDelta(donor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tids := range []float64{60, 240, 900} {
+		cfg := base
+		cfg.TIDS = tids
+		itersBefore := iterativeIters()
+		p, err := pd.Prepared(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.ForwardSensitivities(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := iterativeIters() - itersBefore; d != 0 {
+			t.Errorf("TIDS=%g: iterative backends spent %d iterations on a patched point", tids, d)
+		}
+		full, err := Prepare(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := full.ForwardSensitivities(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("TIDS=%g: %d sensitivities, want %d", tids, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Param != want[i].Param ||
+				math.Abs(got[i].DMTTSF-want[i].DMTTSF) > 1e-9*(1+math.Abs(want[i].DMTTSF)) {
+				t.Fatalf("TIDS=%g: patched sensitivity %+v, full prepare %+v", tids, got[i], want[i])
+			}
+		}
+	}
+}

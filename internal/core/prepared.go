@@ -77,8 +77,10 @@ func (p *Prepared) SizeBytes() int64 {
 	size := n*places*wordBytes // marking arena
 	size += edges * edgeBytes  // edge arena
 	size += n * 3 * wordBytes  // States/Edges headers-ish + marking table
-	// Generator plus the cached Q_TT and its transpose (bounded by the
-	// full generator each) and the sojourn vector.
+	// Generator plus two slots bounded by the full generator each — the
+	// cached Q_TT^T and the solve state beside it (its block-triangular
+	// factors, or Q_TT and ILU(0) factors when a solve path needs them) —
+	// and the sojourn vector.
 	size += 3 * (nnz*csrBytes + (n+1)*wordBytes)
 	size += n * wordBytes
 	return size

@@ -2,12 +2,14 @@ package ctmc
 
 // Pluggable linear-solver backends. Every absorption metric reduces to one
 // transient sojourn solve per chain, so the solve strategy is the terminal
-// scaling lever: the SOR cascade is unbeatable on the paper-scale models
-// (10^3..10^4 states, near-triangular absorption structure) but its
-// iteration count grows with N, while an ILU(0)-preconditioned Krylov
-// method's does not. A SolverBackend packages one strategy; the registry
-// makes them selectable by name through core.Config.Solver, and "auto"
-// picks by problem size.
+// scaling lever. A SolverBackend packages one strategy; the registry makes
+// them selectable by name through core.Config.Solver, and "auto" — the
+// default — runs a ladder: the exact block-triangular direct solve
+// (direct.go), which answers every paper-scale chain in one topological
+// sweep because their transient generators are nearly acyclic; then, for
+// patterns it declines (an SCC over directMaxBlock states, a singular
+// block, stalled refinement), an iterative backend picked by size; then
+// the degradation ladder's sor-cascade and dense-LU rungs (degrade.go).
 //
 // A backend is an execution policy, not a model parameter: every backend
 // converges to the same 1e-12 relative residual, so results are
@@ -53,6 +55,26 @@ type SolveContext struct {
 	// embedding the sink in the context (already one heap allocation)
 	// keeps the armed instrumentation path allocation-free.
 	itersLocal uint64
+
+	// direct, when non-nil, is A's exact block-triangular solve, which the
+	// primary rung tries before the backend (set by solveVia under "auto"
+	// only); directAnswered records that it produced the accepted answer.
+	direct         *blockTriDirect
+	directAnswered bool
+}
+
+// solveDirect runs the context's direct solve, when it carries one, and
+// accounts its refinement passes; nil means there was none or it declined.
+func (ctx *SolveContext) solveDirect() linalg.Vector {
+	if ctx.direct == nil {
+		return nil
+	}
+	x, passes, ok := ctx.direct.solve(ctx.A, ctx.B)
+	ctx.countIters(blockTriBackend, uint64(passes))
+	if !ok {
+		return nil
+	}
+	return x
 }
 
 // countIters accounts n iterations to the global and per-backend counters
@@ -218,17 +240,17 @@ func SolveIterationsByBackend() map[string]uint64 {
 }
 
 // autoKrylovStates is the transient-state threshold past which "auto"
-// switches from the SOR cascade to ILU(0)-BiCGSTAB. Measured on both
-// operator families this repository produces, the Krylov solve wins from a
-// few hundred states up — 5..7x on the paper's SPN systems at 10^2..10^4
-// states, >10x on 5*10^4-state lattice operators where stationary
-// iteration counts grow with N (see the solve_backend_* and solve_largeN_*
-// workloads in cmd/bench) — so the threshold only keeps genuinely tiny
-// systems, where a solve is microseconds either way and the factorization
-// is pure overhead, on the cascade.
+// picks ILU(0)-BiCGSTAB rather than the SOR cascade for a system the
+// direct solve declined. Such systems are cyclic beyond the paper models'
+// shape — the solve_largeN_* lattice operators in cmd/bench are the
+// committed example — and there the Krylov solve's nearly flat iteration
+// count beats the stationary methods' growing one by >10x; the threshold
+// only keeps genuinely tiny systems, where a solve is microseconds either
+// way and the factorization is pure overhead, on the cascade.
 const autoKrylovStates = 256
 
-// resolveBackend unwraps "auto" into the concrete backend for one system.
+// resolveBackend unwraps "auto" into the concrete iterative backend for one
+// system: the one that answers when the direct solve declines.
 func resolveBackend(b SolverBackend, a *linalg.CSR) SolverBackend {
 	if b.Name() != BackendAuto {
 		return b
@@ -313,7 +335,10 @@ func (gmresBackend) Solve(ctx *SolveContext) (linalg.Vector, error) {
 }
 
 // autoBackend picks per system: the SOR cascade below autoKrylovStates
-// transient states, ILU(0)-BiCGSTAB at and above it.
+// transient states, ILU(0)-BiCGSTAB at and above it. Chain solves resolve
+// it per system (resolveBackend) inside the degradation ladder, whose
+// primary rung tries the exact direct solve first; Solve here is only the
+// iterative part, for callers that hold the backend itself.
 type autoBackend struct{}
 
 func (autoBackend) Name() string { return BackendAuto }

@@ -44,6 +44,11 @@ type Chain struct {
 	iluSubT     *linalg.ILU0
 	iluSubTErr  error
 
+	// The exact block-triangular factorizations of the same two matrices,
+	// the first rung of every "auto" solve (direct.go).
+	dirSub  blockTriDirect
+	dirSubT blockTriDirect
+
 	// solver is the explicit backend selected for this chain (nil routes
 	// through DefaultSolverBackend).
 	solver SolverBackend
@@ -175,45 +180,52 @@ func (c *Chain) Generator() *linalg.CSR { return c.q }
 
 // subGeneratorT returns the transpose of the transient-restricted
 // sub-generator Q_TT, used by the sojourn-time solve. Built once per chain
-// (an O(nnz) counting-sort transpose of the cached Q_TT) and reused by
-// every subsequent solve.
+// (an O(nnz) counting-sort transpose of Q_TT) and reused by every
+// subsequent solve. Q_TT itself is only kept when a caller asks for it
+// (subGenerator): the sojourn path needs just the transpose, so a cached
+// chain does not carry both.
 func (c *Chain) subGeneratorT() *linalg.CSR {
 	c.subTOnce.Do(func() {
-		c.subT = c.subGenerator().Transpose()
+		c.subT = c.buildSub().Transpose()
 	})
 	return c.subT
 }
 
 // subGenerator returns the transient-restricted sub-generator Q_TT, built
-// once per chain. The compact transient numbering preserves the order of
-// the full numbering, so each restricted row is a filtered copy of the full
-// row with columns still sorted — no builder, no sort.
+// once per chain.
 func (c *Chain) subGenerator() *linalg.CSR {
 	c.subOnce.Do(func() {
-		nt := len(c.tRev)
-		sub := &linalg.CSR{Rows: nt, Cols: nt, RowPtr: make([]int, nt+1)}
-		nnz := 0
-		for _, i := range c.tRev {
-			for k := c.q.RowPtr[i]; k < c.q.RowPtr[i+1]; k++ {
-				if c.tIdx[c.q.ColIdx[k]] >= 0 {
-					nnz++
-				}
-			}
-		}
-		sub.ColIdx = make([]int, 0, nnz)
-		sub.Val = make([]float64, 0, nnz)
-		for ti, i := range c.tRev {
-			for k := c.q.RowPtr[i]; k < c.q.RowPtr[i+1]; k++ {
-				if tj := c.tIdx[c.q.ColIdx[k]]; tj >= 0 {
-					sub.ColIdx = append(sub.ColIdx, tj)
-					sub.Val = append(sub.Val, c.q.Val[k])
-				}
-			}
-			sub.RowPtr[ti+1] = len(sub.ColIdx)
-		}
-		c.sub = sub
+		c.sub = c.buildSub()
 	})
 	return c.sub
+}
+
+// buildSub assembles Q_TT. The compact transient numbering preserves the
+// order of the full numbering, so each restricted row is a filtered copy of
+// the full row with columns still sorted — no builder, no sort.
+func (c *Chain) buildSub() *linalg.CSR {
+	nt := len(c.tRev)
+	sub := &linalg.CSR{Rows: nt, Cols: nt, RowPtr: make([]int, nt+1)}
+	nnz := 0
+	for _, i := range c.tRev {
+		for k := c.q.RowPtr[i]; k < c.q.RowPtr[i+1]; k++ {
+			if c.tIdx[c.q.ColIdx[k]] >= 0 {
+				nnz++
+			}
+		}
+	}
+	sub.ColIdx = make([]int, 0, nnz)
+	sub.Val = make([]float64, 0, nnz)
+	for ti, i := range c.tRev {
+		for k := c.q.RowPtr[i]; k < c.q.RowPtr[i+1]; k++ {
+			if tj := c.tIdx[c.q.ColIdx[k]]; tj >= 0 {
+				sub.ColIdx = append(sub.ColIdx, tj)
+				sub.Val = append(sub.Val, c.q.Val[k])
+			}
+		}
+		sub.RowPtr[ti+1] = len(sub.ColIdx)
+	}
+	return sub
 }
 
 // solverTol and solverMaxIter are the shared cascade settings.
@@ -223,17 +235,23 @@ const (
 )
 
 // solveVia routes one logical transient solve through the chain's selected
-// backend ("auto" resolves per system size), wrapped in the graceful-
-// degradation ladder: the backend's result is validated (finite entries +
-// residual gate) and a breakdown or invalid output falls back primary →
-// sor-cascade → dense LU, counted per backend in FallbacksByBackend. ilu
-// hands the backend the chain-cached ILU(0) factors of a. Warm-start
+// backend, wrapped in the graceful-degradation ladder: the backend's result
+// is validated (finite entries + residual gate) and a breakdown or invalid
+// output falls back primary → sor-cascade → dense LU, counted per backend
+// in FallbacksByBackend. Under "auto" the primary rung first tries the
+// exact block-triangular solve through direct (the chain-cached state of
+// a) and, when that declines, the iterative backend picked by system size.
+// ilu hands the backend the chain-cached ILU(0) factors of a. Warm-start
 // guesses change iteration counts, not answers: every accepted solution
 // passed the same residual gate.
-func (c *Chain) solveVia(a *linalg.CSR, rhs, x0 linalg.Vector, ilu func() (*linalg.ILU0, error)) (linalg.Vector, error) {
+func (c *Chain) solveVia(a *linalg.CSR, rhs, x0 linalg.Vector, ilu func() (*linalg.ILU0, error), direct *blockTriDirect) (linalg.Vector, error) {
 	solveCount.Add(1)
-	b := resolveBackend(c.Solver(), a)
+	sel := c.Solver()
+	b := resolveBackend(sel, a)
 	sctx := &SolveContext{A: a, B: rhs, X0: x0, ILU: ilu}
+	if sel.Name() == BackendAuto {
+		sctx.direct = direct
+	}
 	if !obs.Armed() {
 		return solveDegrading(b, sctx)
 	}
@@ -243,7 +261,11 @@ func (c *Chain) solveVia(a *linalg.CSR, rhs, x0 linalg.Vector, ilu func() (*lina
 	sctx.Iters = &sctx.itersLocal
 	start := time.Now()
 	x, err := solveDegrading(b, sctx)
-	observeSolve(b.Name(), time.Since(start).Seconds(), sctx.itersLocal)
+	label := b.Name()
+	if sctx.directAnswered {
+		label = blockTriBackend
+	}
+	observeSolve(label, time.Since(start).Seconds(), sctx.itersLocal)
 	return x, err
 }
 
@@ -298,7 +320,7 @@ func (c *Chain) SojournTimesFrom(init int, warm linalg.Vector) (linalg.Vector, e
 	if done || err != nil {
 		return y, err
 	}
-	sol, err := c.solveVia(at, rhs, c.compactWarm(warm), c.iluForSubT)
+	sol, err := c.solveVia(at, rhs, c.compactWarm(warm), c.iluForSubT, &c.dirSubT)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +436,7 @@ func (c *Chain) ExpectedRewardAllStarts(reward linalg.Vector) (linalg.Vector, er
 	for ti, i := range c.tRev {
 		rhs[ti] = -reward[i]
 	}
-	sol, err := c.solveVia(a, rhs, nil, c.iluForSub)
+	sol, err := c.solveVia(a, rhs, nil, c.iluForSub, &c.dirSub)
 	if err != nil {
 		return nil, err
 	}
@@ -443,7 +465,7 @@ func (c *Chain) SolveSubTT(rhsFull linalg.Vector) (linalg.Vector, error) {
 	for ti, i := range c.tRev {
 		rhs[ti] = rhsFull[i]
 	}
-	sol, err := c.solveVia(c.subGeneratorT(), rhs, nil, c.iluForSubT)
+	sol, err := c.solveVia(c.subGeneratorT(), rhs, nil, c.iluForSubT, &c.dirSubT)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,9 @@
 package ctmc
 
 // Graceful-degradation solve ladder. Every logical transient solve routed
-// through Chain.solveVia now runs primary backend → sor-cascade → dense LU,
+// through Chain.solveVia runs primary rung → sor-cascade → dense LU (under
+// "auto" the primary rung is the exact block-triangular solve, then the
+// iterative backend picked by system size),
 // advancing a rung only when the one below it broke down or produced an
 // invalid solution. "Invalid" is decided by validateSolve — every rung's
 // output must be finite in every entry and pass a residual gate — so a
@@ -140,22 +142,31 @@ func solveDegrading(primary SolverBackend, ctx *SolveContext) (linalg.Vector, er
 	return nil, fmt.Errorf("ctmc: every solver rung failed: %w", errors.Join(errs...))
 }
 
-// attemptRung runs one rung and validates its output. Fault injection
-// applies only to the primary attempt: a forced breakdown skips the solve
-// outright, a forced non-finite output corrupts the solution so the
-// validation gate must catch it.
+// attemptRung runs one rung and validates its output. The primary rung
+// tries the context's exact direct solve before the backend. Fault
+// injection applies only to the primary attempt, direct solve included: a
+// forced breakdown skips the solve outright, a forced non-finite output
+// corrupts the solution so the validation gate must catch it.
 func attemptRung(b SolverBackend, ctx *SolveContext, primary bool) (linalg.Vector, error) {
 	if primary && faultinject.Fire(faultinject.SolverBreakdown) {
 		return nil, errors.New("faultinject: forced solver breakdown")
 	}
-	x, err := b.Solve(ctx)
-	if err != nil {
-		return nil, err
+	var x linalg.Vector
+	if primary {
+		x = ctx.solveDirect()
+		ctx.directAnswered = x != nil
+	}
+	if x == nil {
+		var err error
+		if x, err = b.Solve(ctx); err != nil {
+			return nil, err
+		}
 	}
 	if primary && len(x) > 0 && faultinject.Fire(faultinject.SolverNonFinite) {
 		x[0] = math.NaN()
 	}
 	if verr := validateSolve(ctx.A, ctx.B, x); verr != nil {
+		ctx.directAnswered = false
 		return nil, verr
 	}
 	return x, nil

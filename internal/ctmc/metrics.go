@@ -12,7 +12,8 @@ import (
 // paths.
 //
 // The histograms are different: they are new per-solve telemetry, written
-// by observeSolve on the solve hot path. Each iterative backend gets one
+// by observeSolve on the solve hot path. Each iterative backend, and the
+// exact block-triangular rung that answers first under "auto", gets one
 // latency and one iteration series, pre-registered here so recording is a
 // map read plus atomic adds — no locks, no allocation.
 var (
@@ -51,9 +52,9 @@ func init() {
 	r.CounterFunc("repro_incremental_refactorizations_total",
 		"Exact block refactorizations triggered by the incremental re-solve path.",
 		func() float64 { return float64(Refactorizations()) })
-	for _, b := range []string{BackendSORCascade, BackendILUBiCGSTAB, BackendGMRES} {
+	for _, b := range []string{blockTriBackend, BackendSORCascade, BackendILUBiCGSTAB, BackendGMRES} {
 		solveLatencyHist[b] = r.Histogram("repro_solver_solve_duration_seconds",
-			"Wall time of one transient solve, labeled by the primary backend it was routed to.",
+			"Wall time of one transient solve, labeled by the primary backend it was routed to (blocktri-direct when the exact direct solve answered).",
 			obs.LatencyBuckets, obs.L("backend", b))
 		solveItersHist[b] = r.Histogram("repro_solver_solve_iterations",
 			"Iterations of one transient solve (all cascade rungs included), labeled by primary backend.",
@@ -61,8 +62,9 @@ func init() {
 	}
 }
 
-// observeSolve records one armed solve: stage wall time plus the primary
-// backend's latency and iteration histograms. A backend name outside the
+// observeSolve records one armed solve: stage wall time plus the latency
+// and iteration histograms of the primary backend, or of blocktri-direct
+// when the direct solve answered. A backend name outside the
 // pre-registered set (an invalid REPRO_SOLVER sentinel) skips the
 // per-backend series.
 func observeSolve(backend string, seconds float64, iters uint64) {

@@ -9,16 +9,13 @@ package ctmc
 // one-time scatter maps that rewrite all three value arrays in place from
 // a re-rated graph: no re-assembly, no re-transpose, no refactorization.
 //
-// The solve itself is two-tier. The paper's transient generators are
-// nearly acyclic — absorption drives the state graph forward; only short
-// partition/merge cycles knot a few states together — so the first tier is
-// an exact block-triangular factorization (linalg.BlockTriLU): the SCC
-// condensation and block layout are symbolic, computed once per pattern,
-// and each patch only re-extracts the tiny dense diagonal blocks in O(nnz)
-// before a single topological sweep produces the exact answer, verified
-// against the shared 1e-12 residual (with up to two iterative-refinement
-// passes through the same factors). Patterns too cyclic for that — or a
-// singular block at the patched rates — drop to the second tier:
+// The solve itself is two-tier. The first tier is the exact
+// block-triangular solve every "auto" full solve starts with (direct.go):
+// the SCC condensation and block layout are symbolic, computed once per
+// pattern, and each patch only marks the numeric factors stale, so the
+// next solve re-extracts the tiny dense diagonal blocks in O(nnz) before a
+// single topological sweep. Patterns too cyclic for that — or a singular
+// block at the patched rates — drop to the second tier:
 //
 // The donor's ILU(0) factors ride along as a *frozen preconditioner*: an
 // ILU factorization of a nearby matrix is still an effective (approximate)
@@ -31,6 +28,7 @@ package ctmc
 // caller's hard fallback is a full re-prepare).
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -69,16 +67,6 @@ const (
 	patchIterSlack   = 24
 )
 
-// patchMaxBlock bounds the strongly-connected-component size the direct
-// block-triangular tier accepts (the paper models' largest cycles are a
-// handful of states; 64 leaves generous headroom while keeping the dense
-// diagonal blocks trivially cheap). blockTriBackend labels the direct
-// tier's refinement passes in the per-backend iteration accounting.
-const (
-	patchMaxBlock   = 64
-	blockTriBackend = "blocktri-direct"
-)
-
 // PatchedChain is a Chain whose generator values can be rewritten in place
 // against the cached CSR pattern of a donor chain. Not safe for concurrent
 // use: it is the per-sweep mutable counterpart of an immutable Prepared
@@ -88,29 +76,19 @@ type PatchedChain struct {
 	chain *Chain // working chain: shared pattern, private values
 
 	// DisableDirect forces every solve down the frozen-ILU Krylov tier,
-	// skipping the exact block-triangular one. Escape hatch and test seam
-	// (the refactorization-budget properties are pinned through it); leave
-	// false in production.
+	// skipping the exact block-triangular one (the working chain's
+	// dirSubT, shared with its own Chain-path solves). Escape hatch and
+	// test seam (the refactorization-budget properties are pinned through
+	// it); leave false in production.
 	DisableDirect bool
 
-	// Direct tier: the block-triangular factorization of Q_TT^T (symbolic
-	// analysis reused across every patch; numeric factors refreshed per
-	// solve) and its reusable solve/residual buffers. A failed symbolic
-	// analysis or numeric breakdown permanently drops this PatchedChain to
-	// the Krylov tier (directErr sticks).
-	direct      *linalg.BlockTriLU
-	directErr   error
-	directTried bool
-	dirX        linalg.Vector
-	dirR        linalg.Vector
-	dirD        linalg.Vector
-
-	// Frozen ILU(0) state: the factors currently installed on the working
-	// chain, the subT values they were computed from (for the drift
-	// heuristic), and the iteration baseline of the first solve after the
-	// last factorization.
+	// Frozen ILU(0) state: the donor whose factors are adopted on first
+	// need (nil once adopted), the factors currently installed on the
+	// working chain, the subT values they were computed from (for the
+	// drift heuristic), and the iteration baseline of the first solve
+	// after the last factorization.
+	donor         *Chain
 	frozen        *linalg.ILU0
-	frozenErr     error
 	frozenVals    []float64
 	frozenNorm    float64
 	baselineIters uint64
@@ -130,16 +108,16 @@ type PatchedChain struct {
 }
 
 // NewPatchedChain builds the incremental re-solve seam over a fully
-// prepared donor: the donor chain's sub-generators are forced (and its
-// ILU(0) factors adopted as the initial frozen preconditioner), a working
-// chain is cloned with shared patterns and private value arrays, and the
-// edge→CSR scatter maps are precomputed from g — the graph the donor was
-// assembled from. The donor itself is never mutated and stays valid.
+// prepared donor: the donor chain's transposed sub-generator is forced, a
+// working chain is cloned with shared patterns and private value arrays,
+// and the edge→CSR scatter maps are precomputed from g — the graph the
+// donor was assembled from. The donor's ILU(0) factors become the initial
+// frozen preconditioner on the first solve that needs the Krylov tier. The
+// donor itself is never mutated and stays valid.
 func NewPatchedChain(donor *Chain, g *spn.Graph) (*PatchedChain, error) {
 	if g.NumStates() != donor.n {
 		return nil, fmt.Errorf("ctmc: graph has %d states, donor chain %d", g.NumStates(), donor.n)
 	}
-	donorSub := donor.subGenerator()
 	donorSubT := donor.subGeneratorT()
 
 	w := &Chain{
@@ -150,7 +128,7 @@ func NewPatchedChain(donor *Chain, g *spn.Graph) (*PatchedChain, error) {
 		tRev:      donor.tRev,
 		solver:    donor.solver,
 	}
-	w.sub = shareValuesCopy(donorSub)
+	w.sub = donor.buildSub() // private, and not cached on the donor
 	w.subT = shareValuesCopy(donorSubT)
 	// The lazily-built members are pre-seeded, so mark their once-cells
 	// consumed; later refactorizations update the fields directly (the
@@ -158,15 +136,7 @@ func NewPatchedChain(donor *Chain, g *spn.Graph) (*PatchedChain, error) {
 	w.subOnce.Do(func() {})
 	w.subTOnce.Do(func() {})
 
-	pc := &PatchedChain{chain: w, nEdges: g.NumEdges()}
-	pc.frozen, pc.frozenErr = donor.iluForSubT()
-	w.iluSubT, w.iluSubTErr = pc.frozen, pc.frozenErr
-	w.iluSubTOnce.Do(func() {})
-	if pc.frozenErr == nil {
-		pc.frozenVals = append([]float64(nil), donorSubT.Val...)
-		pc.frozenNorm = norm1(pc.frozenVals)
-	}
-
+	pc := &PatchedChain{chain: w, donor: donor, nEdges: g.NumEdges()}
 	if err := pc.buildScatterMaps(g); err != nil {
 		return nil, err
 	}
@@ -309,63 +279,50 @@ func (pc *PatchedChain) PatchRates(g *spn.Graph) error {
 		sub.Val[k] = v
 		subT.Val[pc.subTPerm[k]] = v
 	}
+	c.dirSub.invalidate()
+	c.dirSubT.invalidate()
 	return nil
-}
-
-// solveDirect attempts the exact block-triangular tier: symbolic analysis
-// on first use (reused by every later patch), a numeric refresh from the
-// current patched values, one topological sweep, and an explicit residual
-// check against the shared solver tolerance with up to two
-// iterative-refinement passes through the same factors. ok == false hands
-// the solve to the Krylov tier; a structural or numeric failure sticks
-// (directErr), so a hopeless pattern is never re-analyzed per point.
-func (pc *PatchedChain) solveDirect(at *linalg.CSR, rhs linalg.Vector) (linalg.Vector, bool) {
-	if pc.DisableDirect {
-		return nil, false
-	}
-	if !pc.directTried {
-		pc.directTried = true
-		// NewBlockTriLU performs the initial numeric refresh itself.
-		pc.direct, pc.directErr = linalg.NewBlockTriLU(at, patchMaxBlock)
-		if pc.directErr == nil {
-			n := len(rhs)
-			pc.dirX = linalg.NewVector(n)
-			pc.dirR = linalg.NewVector(n)
-			pc.dirD = linalg.NewVector(n)
-		}
-	} else if pc.directErr == nil {
-		if err := pc.direct.Refresh(at); err != nil {
-			pc.direct, pc.directErr = nil, err
-		}
-	}
-	if pc.directErr != nil {
-		return nil, false
-	}
-	x, r, d := pc.dirX, pc.dirR, pc.dirD
-	pc.direct.Solve(x, rhs)
-	bn := rhs.Norm2()
-	if bn == 0 {
-		bn = 1
-	}
-	for pass := 0; ; pass++ {
-		at.MulVecTo(r, x)
-		r.Sub(rhs, r)
-		if r.Norm2()/bn <= solverTol {
-			addSolveIters(blockTriBackend, uint64(pass))
-			return x, true
-		}
-		if pass == 2 {
-			pc.direct, pc.directErr = nil, fmt.Errorf("ctmc: block-triangular solve stalled above tolerance")
-			return nil, false
-		}
-		pc.direct.Solve(d, r)
-		x.AXPY(1, d)
-	}
 }
 
 // frozenILU is the ILU accessor handed to solver backends: the currently
 // installed frozen factors, never a fresh factorization.
-func (pc *PatchedChain) frozenILU() (*linalg.ILU0, error) { return pc.frozen, pc.frozenErr }
+func (pc *PatchedChain) frozenILU() (*linalg.ILU0, error) {
+	if pc.frozen == nil {
+		return nil, errNoFrozenILU
+	}
+	return pc.frozen, nil
+}
+
+// errNoFrozenILU tells a Krylov backend that neither the donor's factors
+// nor a refactorization are available, so it falls back to its cascade.
+var errNoFrozenILU = errors.New("ctmc: no frozen ILU(0) factors for the patched system")
+
+// adoptDonorILU installs the donor's ILU(0) factors as the frozen
+// preconditioner the first time the Krylov tier runs: a session whose
+// solves all take the exact tier never pays for (or keeps) them.
+func (pc *PatchedChain) adoptDonorILU() {
+	donor := pc.donor
+	if donor == nil {
+		return
+	}
+	pc.donor = nil
+	f, err := donor.iluForSubT()
+	if err != nil {
+		return // frozen stays nil: the caller refactors from current values
+	}
+	pc.install(f)
+	pc.frozenVals = append(pc.frozenVals[:0], donor.subGeneratorT().Val...)
+	pc.frozenNorm = norm1(pc.frozenVals)
+}
+
+// install makes f the frozen preconditioner of the Krylov tier and of the
+// working chain's own solves.
+func (pc *PatchedChain) install(f *linalg.ILU0) {
+	pc.frozen = f
+	c := pc.chain
+	c.iluSubTOnce.Do(func() {})
+	c.iluSubT, c.iluSubTErr = f, nil
+}
 
 // refactor refreshes the frozen preconditioner from the working chain's
 // current Q_TT^T values. A factorization failure permanently disables
@@ -381,12 +338,8 @@ func (pc *PatchedChain) refactor() {
 		return
 	}
 	refactorizations.Add(1)
-	pc.frozen, pc.frozenErr = f, nil
-	pc.chain.iluSubT, pc.chain.iluSubTErr = f, nil
-	if pc.frozenVals == nil {
-		pc.frozenVals = make([]float64, len(pc.chain.subT.Val))
-	}
-	copy(pc.frozenVals, pc.chain.subT.Val)
+	pc.install(f)
+	pc.frozenVals = append(pc.frozenVals[:0], pc.chain.subT.Val...)
 	pc.frozenNorm = norm1(pc.frozenVals)
 	pc.baselineIters = 0
 }
@@ -423,15 +376,20 @@ func (pc *PatchedChain) Solve(init int, warm linalg.Vector) (*Solution, error) {
 	if done {
 		return &Solution{chain: c, init: init, y: y}, nil
 	}
-	if sol, ok := pc.solveDirect(at, rhs); ok {
-		solveCount.Add(1)
-		patchedSolves.Add(1)
-		c.expandTransient(y, sol)
-		return &Solution{chain: c, init: init, y: y}, nil
+	if !pc.DisableDirect {
+		sol, passes, ok := c.dirSubT.solve(at, rhs)
+		addSolveIters(blockTriBackend, uint64(passes))
+		if ok {
+			solveCount.Add(1)
+			patchedSolves.Add(1)
+			c.expandTransient(y, sol)
+			return &Solution{chain: c, init: init, y: y}, nil
+		}
 	}
 	b := resolveBackend(c.Solver(), at)
 	krylov := b.Name() != BackendSORCascade
 	if krylov {
+		pc.adoptDonorILU()
 		if pc.frozen == nil || pc.drift() > patchDriftBudget {
 			pc.refactor()
 		}

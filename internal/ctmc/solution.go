@@ -90,14 +90,28 @@ func (s *Solution) AccumulatedReward(reward linalg.Vector) (float64, error) {
 // AbsorptionProbabilities returns, for each absorbing state a, the
 // probability of being absorbed in a, derived from the sojourn vector via
 // P(absorb in a) = Σ_j y[j]·q[j][a] over transient j — no additional
-// solve.
+// solve. The map holds the absorbing states with a nonzero probability.
 func (s *Solution) AbsorptionProbabilities() map[int]float64 {
 	probs := make(map[int]float64)
+	for a, p := range s.AbsorptionProbabilityVector() {
+		if p != 0 {
+			probs[a] = p
+		}
+	}
+	return probs
+}
+
+// AbsorptionProbabilityVector is AbsorptionProbabilities as a dense vector
+// over all states (zero on transient states). Every sum runs in a fixed
+// state order, so repeated calls on equal solutions agree bit for bit.
+func (s *Solution) AbsorptionProbabilityVector() linalg.Vector {
 	c := s.chain
+	probs := linalg.NewVector(c.n)
 	if c.absorbing[s.init] {
 		probs[s.init] = 1
 		return probs
 	}
+	total := 0.0
 	for _, j := range c.tRev {
 		yj := s.y[j]
 		if yj == 0 {
@@ -105,18 +119,16 @@ func (s *Solution) AbsorptionProbabilities() map[int]float64 {
 		}
 		for k := c.q.RowPtr[j]; k < c.q.RowPtr[j+1]; k++ {
 			if dst := c.q.ColIdx[k]; dst != j && c.absorbing[dst] {
-				probs[dst] += yj * c.q.Val[k]
+				v := yj * c.q.Val[k]
+				probs[dst] += v
+				total += v
 			}
 		}
 	}
 	// Clamp tiny numerical drift.
-	total := 0.0
-	for _, p := range probs {
-		total += p
-	}
 	if total > 0 {
-		for k := range probs {
-			probs[k] /= total
+		for a := range probs {
+			probs[a] /= total
 		}
 	}
 	return probs

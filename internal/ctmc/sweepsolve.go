@@ -53,7 +53,9 @@ func (ws *SweepSolver) Observe(sol *Solution) {
 // Solve performs the sojourn solve for chain c started in init, warm
 // starting from — and calibrating on — the sweep's earlier solves.
 //
-// The ω-calibration machinery is SOR-specific; when the chain's selected
+// Under "auto" the exact block-triangular solve answers first, so warm
+// start and ω calibration only matter for chains it declines. The
+// ω-calibration machinery is SOR-specific; when the chain's selected
 // backend resolves to a Krylov method the sweep delegates to it directly,
 // still handing over the previous grid point's vector as the warm start.
 // The Krylov backends pull the chain-cached ILU(0) factors, so the whole
@@ -66,8 +68,10 @@ func (ws *SweepSolver) Solve(c *Chain, init int) (*Solution, error) {
 	if !done {
 		x0 := c.compactWarm(ws.prev)
 		var sol linalg.Vector
-		if b := resolveBackend(c.Solver(), at); b.Name() != BackendSORCascade {
-			sol, err = c.solveVia(at, rhs, x0, c.iluForSubT)
+		sel := c.Solver()
+		direct := sel.Name() == BackendAuto && !c.dirSubT.declined()
+		if direct || resolveBackend(sel, at).Name() != BackendSORCascade {
+			sol, err = c.solveVia(at, rhs, x0, c.iluForSubT, &c.dirSubT)
 		} else {
 			solveCount.Add(1)
 			sol, err = ws.solveSystem(at, rhs, x0)

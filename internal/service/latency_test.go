@@ -45,10 +45,12 @@ func TestRetryAfterDerivedFromLatency(t *testing.T) {
 		t.Fatalf("Retry-After at 3*width-second latency = %q, want \"3\"", got)
 	}
 
-	// A backlog scales the hint: (pending+1)/width times the latency.
+	// A backlog scales the hint: (pending+1)/width times the latency, so a
+	// 2*width-deep queue at 3*width seconds per solve drains in 6*width
+	// seconds (clamped at 60 on very wide semaphores).
 	s.pendingSolves.Store(int64(2*width - 1))
-	if got := s.retryAfterSecs(); got != "6" {
-		t.Fatalf("Retry-After with a 2*width-deep queue = %q, want \"6\"", got)
+	if got, want := s.retryAfterSecs(), strconv.Itoa(min(6*int(width), 60)); got != want {
+		t.Fatalf("Retry-After with a 2*width-deep queue = %q, want %q", got, want)
 	}
 	s.pendingSolves.Store(0)
 

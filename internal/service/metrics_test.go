@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/ctmc"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/persist"
@@ -112,6 +113,15 @@ func TestMetricsExposition(t *testing.T) {
 	if !strings.Contains(text, "repro_service_requests_total 2") {
 		t.Errorf("request counter did not count the two batch requests:\n%s",
 			grepLines(text, "repro_service_requests_total"))
+	}
+	// Under auto the exact block-triangular rung answers the paper's
+	// chains, and the solve histograms say so.
+	if ctmc.DefaultSolverBackend().Name() == ctmc.BackendAuto {
+		const direct = `repro_solver_solve_duration_seconds_count{backend="blocktri-direct"} `
+		line := grepLines(text, direct)
+		if line == "" || strings.HasSuffix(line, " 0") {
+			t.Errorf("no solve answered by the direct rung in the scrape: %q", line)
+		}
 	}
 }
 
