@@ -59,25 +59,27 @@ type Result = core.Result
 // SweepPoint pairs a TIDS value with its evaluation.
 type SweepPoint = core.SweepPoint
 
-// SweepOpts selects how grid sweeps evaluate their points (warm-start
-// chaining of neighbouring solves vs cold batch fan-out).
+// SweepOpts is the legacy options struct of the grid sweeps. Its fields no
+// longer select anything: every sweep takes the parallel incremental path.
 //
-// Deprecated: pass functional options (WithWarmStart, WithIncremental,
-// WithContext) to SweepTIDS/ExploreDesignSpace/TradeoffFrontier instead.
+// Deprecated: call SweepTIDS/ExploreDesignSpace/TradeoffFrontier with
+// functional options (WithContext) instead.
 type SweepOpts = core.SweepOpts
 
-// SweepOption configures how a grid driver (SweepTIDS, ExploreDesignSpace,
-// TradeoffFrontier) evaluates its points; the zero set is the engine's
-// bounded parallel batch.
+// SweepOption configures a grid driver (SweepTIDS, ExploreDesignSpace,
+// TradeoffFrontier). Every driver evaluates its points in parallel
+// incremental chunks whatever the options; only WithContext changes
+// behaviour.
 type SweepOption = core.SweepOption
 
-// WithWarmStart chains neighbouring grid points through one solver session,
-// seeding each transient solve from the previous point's sojourn vector.
+// WithWarmStart is accepted for compatibility and has no effect: every
+// sweep already reuses its neighbours' graph, factorization and sojourn
+// vector.
 func WithWarmStart() SweepOption { return core.WithWarmStart() }
 
-// WithIncremental routes neighbouring grid points through the incremental
-// patch+re-solve path (rate-only generator patches on a shared
-// factorization); implies WithWarmStart's sequential chaining.
+// WithIncremental is accepted for compatibility and has no effect: every
+// sweep already runs its chunks through the incremental patch+re-solve
+// path (rate-only generator patches on a shared factorization).
 func WithIncremental() SweepOption { return core.WithIncremental() }
 
 // WithContext makes the driver honor ctx: evaluation stops with ctx.Err()
@@ -294,18 +296,19 @@ var PaperTIDSGrid = core.PaperTIDSGrid
 // PaperMGrid is the vote-participant grid used in Figures 2 and 3.
 var PaperMGrid = core.PaperMGrid
 
-// SweepTIDS evaluates the model across a grid of detection intervals.
-// Options select the evaluation strategy: the default is the engine's
-// bounded parallel batch; WithWarmStart/WithIncremental chain the grid
-// through one solver session, and WithContext makes the sweep cancelable
-// between points.
+// SweepTIDS evaluates the model across a grid of detection intervals. The
+// grid splits into contiguous chunks — one per engine worker, but none
+// shorter than six points — and the chunks run in parallel; within a chunk the first point pays a full prepare and
+// every later point is patched onto its graph and re-solved. Points the
+// engine has already evaluated are cache hits. WithContext makes the
+// sweep cancelable between points.
 func SweepTIDS(cfg Config, grid []float64, opts ...SweepOption) ([]SweepPoint, error) {
 	return core.SweepTIDS(cfg, grid, opts...)
 }
 
 // SweepTIDSOpts is SweepTIDS with the legacy options struct.
 //
-// Deprecated: use SweepTIDS with WithWarmStart/WithIncremental/WithContext.
+// Deprecated: use SweepTIDS (with WithContext to make it cancelable).
 func SweepTIDSOpts(cfg Config, grid []float64, opts SweepOpts) ([]SweepPoint, error) {
 	return core.SweepTIDSOpts(cfg, grid, opts)
 }
@@ -364,9 +367,8 @@ func TradeoffFrontier(cfg Config, space DesignSpace, opts ...SweepOption) ([]Des
 }
 
 // ExploreDesignSpace evaluates every point of the design space (sorted by
-// ascending Ĉtotal), without the frontier filter. It accepts the same
-// options as SweepTIDS; WithWarmStart/WithIncremental run one solve chain
-// per (m, detection) pair along the TIDS axis.
+// ascending Ĉtotal), without the frontier filter, through the same
+// parallel incremental chunks as SweepTIDS. It accepts the same options.
 func ExploreDesignSpace(cfg Config, space DesignSpace, opts ...SweepOption) ([]DesignPoint, error) {
 	return core.ExploreDesignSpace(cfg, space, opts...)
 }
@@ -374,8 +376,8 @@ func ExploreDesignSpace(cfg Config, space DesignSpace, opts ...SweepOption) ([]D
 // ExploreDesignSpaceOpts is ExploreDesignSpace with the legacy options
 // struct.
 //
-// Deprecated: use ExploreDesignSpace with WithWarmStart/WithIncremental/
-// WithContext.
+// Deprecated: use ExploreDesignSpace (with WithContext to make it
+// cancelable).
 func ExploreDesignSpaceOpts(cfg Config, space DesignSpace, opts SweepOpts) ([]DesignPoint, error) {
 	return core.ExploreDesignSpaceOpts(cfg, space, opts)
 }
@@ -490,10 +492,12 @@ func ClassifyDelta(a, b Config) DeltaKind { return core.ClassifyDelta(a, b) }
 func StructuralKey(cfg Config) string { return core.StructuralKey(cfg) }
 
 // EvalBatchIncremental evaluates a batch through the incremental re-solve
-// path: points are grouped by structural family and each family is walked
-// sequentially, patching the cached generator in place and re-solving
-// through the family's reused factorization instead of re-preparing per
-// point. Results are tolerance-identical to EvalBatch.
+// path: points are grouped by structural family, each family is cut into
+// contiguous chunks (one per engine worker, none shorter than six points)
+// that run in parallel, and each chunk patches the
+// cached generator in place and re-solves through its reused
+// factorization instead of re-preparing per point. Results are
+// tolerance-identical to EvalBatch.
 func EvalBatchIncremental(ctx context.Context, cfgs []Config) ([]*Result, error) {
 	return engine.Default().EvalBatchIncremental(ctx, cfgs)
 }

@@ -495,10 +495,10 @@ func backendMatrixWorkloads(n int) []Result {
 }
 
 // sweepWorkloads measures the full evaluation pipeline over the paper's
-// TIDS grid at size n: through the memoization-free Direct path (every
-// point pays the complete cold miss), through the same path with
-// warm-start chaining (sweep_warm — compare its solve_iters_per_op against
-// sweep_cold's for the warm-start reduction), and through a fresh
+// TIDS grid at size n: through the memoization-free Direct path, with and
+// without the WithWarmStart spelling (sweep_cold and sweep_warm; every
+// sweep now takes the chunked incremental path, so the two measure the
+// same work and are kept for trajectory continuity), and through a fresh
 // memoizing engine per op.
 func sweepWorkloads(n int) []Result {
 	cfg := core.DefaultConfig()
@@ -543,18 +543,18 @@ func denseTIDSGrid(points int, lo, hi float64) []float64 {
 }
 
 // incrementalWorkloads measures a dense 64-point rate-only TIDS sweep at
-// size n through the two sequential evaluation paths: warm-start chaining
-// (sweep_warm_dense — every point still pays explore + assemble +
-// transpose + factorize) and the incremental patch+re-solve path
-// (sweep_incremental — the first point pays a full prepare, every later
-// point re-rates the shared graph, patches the cached generator pattern in
-// place, and re-solves: exactly, through the reused SCC-condensed
+// size n through the Direct evaluator under the two legacy option
+// spellings, WithWarmStart (sweep_warm_dense) and WithIncremental
+// (sweep_incremental). Both now take the same chunked incremental path:
+// the first point of each chunk pays a full prepare, every later point
+// re-rates the shared graph, patches the cached generator pattern in
+// place, and re-solves — exactly, through the reused SCC-condensed
 // block-triangular factorization, or under the frozen ILU(0)
-// preconditioner when the pattern is too cyclic for it). Both run
+// preconditioner when the pattern is too cyclic for it. Both run
 // memoization-free, so the speedup is per-point algorithmic cost, not
-// caching. Before timing, the two paths are checked point-for-point to
-// 1e-10 relative — the incremental numbers mean nothing unless the results
-// are identical.
+// caching. Before timing, the incremental sweep is checked point-for-point
+// against a full prepare per point (core.Analyze) to 1e-10 relative — the
+// incremental numbers mean nothing unless the results are identical.
 func incrementalWorkloads(n int) []Result {
 	cfg := core.DefaultConfig()
 	cfg.N = n
@@ -563,19 +563,21 @@ func incrementalWorkloads(n int) []Result {
 	prev := core.SetDefaultEvaluator(core.Direct{})
 	defer core.SetDefaultEvaluator(prev)
 
-	warmPts, err := core.SweepTIDSOpts(cfg, grid, core.SweepOpts{WarmStart: true})
-	if err != nil {
-		fatal(err)
-	}
 	incPts, err := core.SweepTIDSOpts(cfg, grid, core.SweepOpts{Incremental: true})
 	if err != nil {
 		fatal(err)
 	}
-	for i := range warmPts {
-		w, c := warmPts[i].Result, incPts[i].Result
-		if relDiff(w.MTTSF, c.MTTSF) > 1e-10 || relDiff(w.Ctotal, c.Ctotal) > 1e-10 {
-			fatal(fmt.Errorf("sweep_incremental: TIDS=%v diverges from warm path: MTTSF %v vs %v, Ctotal %v vs %v",
-				grid[i], w.MTTSF, c.MTTSF, w.Ctotal, c.Ctotal))
+	for i, tids := range grid {
+		c := cfg
+		c.TIDS = tids
+		want, err := core.Analyze(c)
+		if err != nil {
+			fatal(err)
+		}
+		got := incPts[i].Result
+		if relDiff(want.MTTSF, got.MTTSF) > 1e-10 || relDiff(want.Ctotal, got.Ctotal) > 1e-10 {
+			fatal(fmt.Errorf("sweep_incremental: TIDS=%v diverges from a full prepare: MTTSF %v vs %v, Ctotal %v vs %v",
+				tids, got.MTTSF, want.MTTSF, got.Ctotal, want.Ctotal))
 		}
 	}
 

@@ -21,25 +21,21 @@ type Evaluator interface {
 	// on error the returned error wraps every failing point's error and
 	// results may be partially filled.
 	EvalBatch(cfgs []Config) ([]*Result, error)
-}
-
-// PreparedEvaluator is the optional extension warm-start sweeps need: an
-// Evaluator that can hand out the fully built (and possibly cached)
-// evaluation state for a configuration, so the sweep driver can thread the
-// previous grid point's solution into the next solve. Both Direct and the
-// memoizing engine implement it.
-type PreparedEvaluator interface {
-	Evaluator
-	// Prepared returns the built model/graph/chain for cfg, without
-	// forcing the solve.
+	// Prepared returns the built (and possibly cached) model/graph/chain
+	// for cfg, without forcing the solve: a DeltaSession anchors on it and
+	// patches later grid points instead of re-preparing them.
 	Prepared(cfg Config) (*Prepared, error)
 	// EvalWith evaluates cfg, calling prepare for the built (and
-	// typically warm-solved) evaluation state only when no recorded
+	// typically patched and solved) evaluation state only when no recorded
 	// Result exists: the memoizing engine serves repeats straight from
 	// its result cache — skipping the rebuild and solve entirely — and
 	// records fresh points so later Evals hit. The returned Result is
 	// the caller's own copy.
 	EvalWith(cfg Config, prepare func() (*Prepared, error)) (*Result, error)
+	// WorkerBound reports the batch-parallelism cap (0 means GOMAXPROCS),
+	// so drivers that fan work out themselves — the incremental sweep
+	// chunks — honor the same bound EvalBatch does.
+	WorkerBound() int
 }
 
 // defaultEvaluator is the Evaluator used by SweepTIDS, ExploreDesignSpace,
@@ -78,10 +74,10 @@ type Direct struct {
 // Eval implements Evaluator.
 func (d Direct) Eval(cfg Config) (*Result, error) { return Analyze(cfg) }
 
-// Prepared implements PreparedEvaluator: a fresh build every call.
+// Prepared implements Evaluator: a fresh build every call.
 func (d Direct) Prepared(cfg Config) (*Prepared, error) { return Prepare(cfg) }
 
-// EvalWith implements PreparedEvaluator: Direct records nothing, so it
+// EvalWith implements Evaluator: Direct records nothing, so it
 // always prepares and derives the Result from the (memoized) solve.
 func (d Direct) EvalWith(cfg Config, prepare func() (*Prepared, error)) (*Result, error) {
 	p, err := prepare()
@@ -97,27 +93,8 @@ func (d Direct) EvalWith(cfg Config, prepare func() (*Prepared, error)) (*Result
 	return &r, nil
 }
 
-// WorkerBound reports the evaluator's batch-parallelism cap (0 means
-// GOMAXPROCS), so drivers that fan work out themselves — the warm-start
-// design-space chains — can honor the same bound EvalBatch does.
+// WorkerBound implements Evaluator.
 func (d Direct) WorkerBound() int { return d.Workers }
-
-// workerBounded is implemented by evaluators that cap their batch
-// parallelism; both Direct and the memoizing engine do.
-type workerBounded interface {
-	WorkerBound() int
-}
-
-// evaluatorWorkers returns the worker bound of the installed default
-// evaluator, falling back to GOMAXPROCS.
-func evaluatorWorkers() int {
-	if wb, ok := DefaultEvaluator().(workerBounded); ok {
-		if w := wb.WorkerBound(); w > 0 {
-			return w
-		}
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // EvalBatch implements Evaluator.
 func (d Direct) EvalBatch(cfgs []Config) ([]*Result, error) {
@@ -126,7 +103,7 @@ func (d Direct) EvalBatch(cfgs []Config) ([]*Result, error) {
 
 // ForEachIndexed runs fn(i) for every i in [0, n) over at most workers
 // goroutines (0 means GOMAXPROCS) — the one bounded indexed fan-out every
-// batch driver shares (RunBatch, the warm design-space pair chains, the
+// batch driver shares (RunBatch, the incremental sweep chunks, the
 // evaluation service's per-point batch dispatch, bench client pools).
 func ForEachIndexed(n, workers int, fn func(int)) {
 	if workers <= 0 {
@@ -162,6 +139,13 @@ func RunBatch(cfgs []Config, workers int, eval func(Config) (*Result, error)) ([
 	ForEachIndexed(len(cfgs), workers, func(i int) {
 		results[i], errs[i] = eval(cfgs[i])
 	})
+	return results, joinPointErrors(cfgs, errs)
+}
+
+// joinPointErrors joins the per-point errors of a batch over cfgs, each
+// labelled with its index and the point's grid coordinates; nil when every
+// point succeeded.
+func joinPointErrors(cfgs []Config, errs []error) error {
 	var joined error
 	for i, err := range errs {
 		if err != nil {
@@ -174,8 +158,5 @@ func RunBatch(cfgs []Config, workers int, eval func(Config) (*Result, error)) ([
 			}
 		}
 	}
-	if joined != nil {
-		return results, joined
-	}
-	return results, nil
+	return joined
 }

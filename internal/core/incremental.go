@@ -35,11 +35,21 @@ var ErrStructuralDelta = errors.New("core: structural config delta; full re-prep
 // factorization entirely. Not safe for concurrent use, and each
 // Prepared it returns aliases the working arrays: consume it (Analyze,
 // ForwardSensitivities) before the next Prepared call patches under it.
+//
+// The session also carries the voting table from one patched point to the
+// next: Model.votingProbs is a pure function of (Protocol, M, P1, P2) and
+// the per-group composition, so while those four stay fixed — every TIDS
+// sweep, and every run of equal m in a design space — a rebuilt model
+// adopts the previous patched model's voteMemo instead of recomputing the
+// binomial sums. The table never comes from (or goes to) the donor, which
+// the engine may be analysing on another goroutine, so it stays private
+// to the session. detectMemo is never carried: it depends on TIDS.
 type PreparedDelta struct {
 	anchor Config
 	graph  *spn.Graph // CloneForRerate clone sharing the donor's structure
 	pc     *ctmc.PatchedChain
 	prevY  linalg.Vector // previous point's sojourn vector (warm start)
+	model  *Model        // last patched point's model: voting-table donor
 }
 
 // NewPreparedDelta anchors an incremental session on a fully prepared
@@ -61,14 +71,6 @@ func NewPreparedDelta(donor *Prepared) (*PreparedDelta, error) {
 	return pd, nil
 }
 
-// Observe records an externally obtained solution (typically the donor's
-// or a cache hit's) as the warm start for the next patched solve.
-func (pd *PreparedDelta) Observe(sol *ctmc.Solution) {
-	if sol != nil {
-		pd.prevY = sol.SojournTimes()
-	}
-}
-
 // Prepared evaluates cfg through the patch+re-solve path, returning a
 // Prepared whose solution is already computed. A structural delta — by
 // classification or by the re-rate replay's ground-truth check — returns
@@ -85,6 +87,10 @@ func (pd *PreparedDelta) Prepared(cfg Config) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
+	if prev := pd.model; prev != nil && sameVoting(prev.Config, cfg) {
+		model.voteMemo = prev.voteMemo
+	}
+	pd.model = model
 	// Swap the rebuilt net's rate closures under the shared graph and
 	// replay the enabling scan — the ground-truth structural check.
 	pd.graph.Net = model.Net
@@ -106,4 +112,10 @@ func (pd *PreparedDelta) Prepared(cfg Config) (*Prepared, error) {
 	p := &Prepared{Model: model, Graph: pd.graph, Chain: pd.pc.Chain()}
 	p.solveOnce.Do(func() { p.sol = sol })
 	return p, nil
+}
+
+// sameVoting reports whether two configurations share every input of
+// Model.votingProbs besides the group composition it is keyed on.
+func sameVoting(a, b Config) bool {
+	return a.Protocol == b.Protocol && a.M == b.M && a.P1 == b.P1 && a.P2 == b.P2
 }

@@ -131,6 +131,64 @@ func TestPatchedResolveForcedRefactor(t *testing.T) {
 	}
 }
 
+// TestPreparedDeltaVotingMemoExact pins the voting-table hand-off between
+// patched points: a PreparedDelta walk that alternates m 3 -> 9 -> 3 and
+// moves P1 inside (0,1), so that consecutive points sometimes may and
+// sometimes must not share a table, equals a full prepare at every point
+// under both protocols.
+func TestPreparedDeltaVotingMemoExact(t *testing.T) {
+	steps := []struct {
+		m        int
+		p1, tids float64
+	}{
+		{9, 0.01, 60}, {3, 0.01, 120}, {3, 0.01, 480}, {9, 0.01, 480},
+		{9, 0.01, 30}, {3, 0.05, 30}, {3, 0.05, 600}, {3, 0.01, 600},
+	}
+	for _, proto := range []Protocol{ProtocolVoting, ProtocolClusterHead} {
+		base := DefaultConfig()
+		base.N = 20
+		base.M = 3
+		base.Protocol = proto
+		base.Solver = ctmc.BackendAuto
+		donor, err := Prepare(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd, err := NewPreparedDelta(donor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range steps {
+			c := base
+			c.M, c.P1, c.TIDS = st.m, st.p1, st.tids
+			p, err := pd.Prepared(c)
+			if err != nil {
+				t.Fatalf("%v step %d: %v", proto, i, err)
+			}
+			got, err := p.Analyze()
+			if err != nil {
+				t.Fatalf("%v step %d: %v", proto, i, err)
+			}
+			want, err := Analyze(c)
+			if err != nil {
+				t.Fatalf("%v step %d: %v", proto, i, err)
+			}
+			for _, f := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"MTTSF", got.MTTSF, want.MTTSF}, {"Ctotal", got.Ctotal, want.Ctotal},
+				{"ProbC1", got.ProbC1, want.ProbC1}, {"ProbC2", got.ProbC2, want.ProbC2},
+			} {
+				if relDiff(f.got, f.want) > 1e-12 {
+					t.Errorf("%v step %d (m=%d P1=%v TIDS=%v): patched %s %v, full prepare %v",
+						proto, i, st.m, st.p1, st.tids, f.name, f.got, f.want)
+				}
+			}
+		}
+	}
+}
+
 // TestPreparedDeltaStructuralFallback pins the fallback contract: a
 // structural delta (different N; a rate zero-crossing) is refused with
 // ErrStructuralDelta and counted, and the session stays anchored and usable
@@ -209,6 +267,48 @@ func TestIncrementalSweepMatchesCold(t *testing.T) {
 		}
 		if d := (w.Ctotal - g.Ctotal) / w.Ctotal; d > 1e-10 || d < -1e-10 {
 			t.Errorf("TIDS=%v: incremental Ctotal %g vs cold %g", grid[i], g.Ctotal, w.Ctotal)
+		}
+	}
+}
+
+// TestCutChunks pins EvalIncremental's chunking rule: a group is cut into
+// min(workers, len/minChunkPoints) contiguous, near-equal chunks covering
+// every index once, so no chunk is shorter than minChunkPoints and a
+// group too short to split stays one sequential walk.
+func TestCutChunks(t *testing.T) {
+	for _, tc := range []struct {
+		n, workers int
+		lens       []int
+	}{
+		{1, 4, []int{1}},
+		{5, 4, []int{5}},
+		{11, 16, []int{11}},
+		{12, 1, []int{12}},
+		{12, 4, []int{6, 6}},
+		{24, 2, []int{12, 12}},
+		{24, 16, []int{6, 6, 6, 6}},
+		{25, 3, []int{8, 8, 9}},
+		{36, 16, []int{6, 6, 6, 6, 6, 6}},
+	} {
+		idx := make([]int, tc.n)
+		for i := range idx {
+			idx[i] = 10 + i
+		}
+		chunks := cutChunks(idx, tc.workers)
+		next := 10
+		for c, chunk := range chunks {
+			if c >= len(tc.lens) || len(chunk) != tc.lens[c] {
+				t.Fatalf("n=%d workers=%d: chunk %d has %d points, want lengths %v", tc.n, tc.workers, c, len(chunk), tc.lens)
+			}
+			for _, i := range chunk {
+				if i != next {
+					t.Fatalf("n=%d workers=%d: chunk %d holds index %d, want %d", tc.n, tc.workers, c, i, next)
+				}
+				next++
+			}
+		}
+		if len(chunks) != len(tc.lens) || next != 10+tc.n {
+			t.Fatalf("n=%d workers=%d: %d chunks covering %d points, want lengths %v", tc.n, tc.workers, len(chunks), next-10, tc.lens)
 		}
 	}
 }

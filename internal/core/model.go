@@ -37,6 +37,13 @@ type Model struct {
 	// the single-threaded reachability exploration and by costRewards
 	// under Prepared's resultOnce guard; any new post-exploration caller
 	// of votingProbs/detectionRate must serialize the same way.
+	//
+	// voteMemo's values also depend on (Protocol, M, P1, P2), never on
+	// TIDS, so a PreparedDelta session hands one table down its chain of
+	// rebuilt models while those four are unchanged. The models sharing a
+	// table are used one at a time on the session's goroutine; a table is
+	// never shared with a model outside its session. detectMemo depends
+	// on TIDS through the detection rate and is never shared.
 	voteMemo   map[uint64][2]float64
 	detectMemo map[int]float64
 }

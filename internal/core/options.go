@@ -6,29 +6,27 @@ import (
 )
 
 // SweepOption configures how a grid driver (SweepTIDS, ExploreDesignSpace,
-// TradeoffFrontier) evaluates its points. Options compose left to right;
-// the zero set is the plain bounded-batch cold path.
+// TradeoffFrontier) evaluates its points. Options compose left to right.
+// Every driver takes the parallel incremental path (EvalIncremental)
+// whatever the options; only WithContext changes behaviour.
 type SweepOption func(*sweepConfig)
 
-// sweepConfig is the resolved option set. It embeds the legacy SweepOpts
-// struct so the *Opts wrappers translate losslessly.
+// sweepConfig is the resolved option set.
 type sweepConfig struct {
-	SweepOpts
 	ctx context.Context
 }
 
-// WithWarmStart chains grid points through one ctmc.SweepSolver per
-// structural family: each transient solve starts from its grid neighbour's
-// sojourn vector. See SweepOpts.WarmStart for the full contract.
+// WithWarmStart is kept for compatibility and has no effect: every sweep
+// already reuses its neighbours' graph, factorization and sojourn vector.
 func WithWarmStart() SweepOption {
-	return func(o *sweepConfig) { o.WarmStart = true }
+	return func(*sweepConfig) {}
 }
 
-// WithIncremental routes neighbouring grid points through the
-// patch+re-solve path (PreparedDelta). Implies WithWarmStart's sequential
-// evaluation order. See SweepOpts.Incremental for the full contract.
+// WithIncremental is kept for compatibility and has no effect: every
+// sweep already runs its chunks through the patch+re-solve path
+// (PreparedDelta).
 func WithIncremental() SweepOption {
-	return func(o *sweepConfig) { o.Incremental = true }
+	return func(*sweepConfig) {}
 }
 
 // WithContext makes the driver honor ctx: evaluation stops with ctx.Err()
@@ -37,20 +35,6 @@ func WithIncremental() SweepOption {
 // point starts).
 func WithContext(ctx context.Context) SweepOption {
 	return func(o *sweepConfig) { o.ctx = ctx }
-}
-
-// withSweepOpts adapts a legacy SweepOpts struct onto the option chain.
-func withSweepOpts(opts SweepOpts) SweepOption {
-	return func(o *sweepConfig) {
-		o.WarmStart = o.WarmStart || opts.WarmStart
-		o.Incremental = o.Incremental || opts.Incremental
-	}
-}
-
-// withSweepConfig forwards an already-resolved option set to a nested
-// driver call.
-func withSweepConfig(cfg sweepConfig) SweepOption {
-	return func(o *sweepConfig) { *o = cfg }
 }
 
 func applySweepOptions(opts []SweepOption) sweepConfig {
@@ -71,19 +55,4 @@ func (o sweepConfig) ctxErr() error {
 		return fmt.Errorf("core: sweep canceled: %w", err)
 	}
 	return nil
-}
-
-// evalBatchMaybeCtx runs one bounded batch through the default evaluator,
-// routing through its context-aware entry point when the caller supplied a
-// context and the evaluator has one (the memoizing engine does).
-func evalBatchMaybeCtx(o sweepConfig, cfgs []Config) ([]*Result, error) {
-	ev := DefaultEvaluator()
-	if o.ctx != nil {
-		if cev, ok := ev.(interface {
-			EvalBatchContext(context.Context, []Config) ([]*Result, error)
-		}); ok {
-			return cev.EvalBatchContext(o.ctx, cfgs)
-		}
-	}
-	return ev.EvalBatch(cfgs)
 }

@@ -70,25 +70,21 @@ func (d DesignSpace) Enumerate(base Config) []Config {
 }
 
 // ExploreDesignSpace evaluates every grid point and returns all points
-// (sorted by ascending Ĉtotal). Design spaces overlap heavily with the
-// TIDS sweeps of the figures, so with the memoizing engine installed most
-// points are cache hits. By default every grid point goes through the
-// default Evaluator's bounded batch API; WithWarmStart/WithIncremental
-// route it through per-(m, detection) solver chains instead, and
-// WithContext makes it cancelable between points.
+// (sorted by ascending Ĉtotal). Every point of a design space shares one
+// reachability graph (m, TIDS and the detection shape only move rates), so
+// the grid goes through the incremental sweep driver like SweepTIDS:
+// contiguous chunks of the (m, TIDS, detection) enumeration, one per
+// evaluator worker but none shorter than minChunkPoints, patched and
+// re-solved point by point. Design spaces overlap
+// heavily with the TIDS sweeps of the figures, so with the memoizing
+// engine installed most points are cache hits. WithContext makes it
+// cancelable between points.
 func ExploreDesignSpace(cfg Config, space DesignSpace, opts ...SweepOption) ([]DesignPoint, error) {
-	o := applySweepOptions(opts)
-	if o.WarmStart || o.Incremental {
-		return exploreDesignSpaceChained(cfg, space, o)
-	}
 	if space.Size() == 0 {
 		return nil, fmt.Errorf("core: empty design space")
 	}
-	if err := o.ctxErr(); err != nil {
-		return nil, err
-	}
 	cfgs := space.Enumerate(cfg)
-	results, err := evalBatchMaybeCtx(o, cfgs)
+	results, err := evalSweep(applySweepOptions(opts), cfgs)
 	if err != nil {
 		return nil, fmt.Errorf("core: design space: %w", err)
 	}
@@ -104,63 +100,10 @@ func ExploreDesignSpace(cfg Config, space DesignSpace, opts ...SweepOption) ([]D
 }
 
 // ExploreDesignSpaceOpts is ExploreDesignSpace with an explicit options
-// struct, kept for callers predating the functional options.
-func ExploreDesignSpaceOpts(cfg Config, space DesignSpace, opts SweepOpts) ([]DesignPoint, error) {
-	return ExploreDesignSpace(cfg, space, withSweepOpts(opts))
-}
-
-// exploreDesignSpaceChained runs one warm-start chain per (m, detection)
-// pair — within a chain only TIDS varies, so every point's state space has
-// identical structure and numbering and each solve starts from its grid
-// neighbour's sojourn vector. The independent chains fan out over a
-// bounded worker pool. Output is sorted by ascending Ĉtotal like
-// ExploreDesignSpace.
-func exploreDesignSpaceChained(cfg Config, space DesignSpace, o sweepConfig) ([]DesignPoint, error) {
-	if space.Size() == 0 {
-		return nil, fmt.Errorf("core: empty design space")
-	}
-	if _, ok := DefaultEvaluator().(PreparedEvaluator); !ok {
-		// Without a warm-capable evaluator each chain would fall back to
-		// a batch-parallel cold sweep of its own; one bounded cold batch
-		// over the whole grid is the equivalent without the W^2 fan-out.
-		o.WarmStart, o.Incremental = false, false
-		return ExploreDesignSpace(cfg, space, withSweepConfig(o))
-	}
-	// Only the points within one chain need sequencing; the chains
-	// themselves are independent and fan out over a bounded pool, so the
-	// warm path keeps the cold path's cross-pair parallelism.
-	type pair struct {
-		m int
-		k shapes.Kind
-	}
-	pairs := make([]pair, 0, len(space.Ms)*len(space.Detections))
-	for _, m := range space.Ms {
-		for _, k := range space.Detections {
-			pairs = append(pairs, pair{m, k})
-		}
-	}
-	chains := make([][]SweepPoint, len(pairs))
-	errs := make([]error, len(pairs))
-	ForEachIndexed(len(pairs), evaluatorWorkers(), func(i int) {
-		c := cfg
-		c.M = pairs[i].m
-		c.Detection = pairs[i].k
-		chains[i], errs[i] = SweepTIDS(c, space.TIDSGrid, withSweepConfig(o))
-	})
-	points := make([]DesignPoint, 0, space.Size())
-	for i, p := range pairs {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("core: design space (m=%d, detection=%v): %w", p.m, p.k, errs[i])
-		}
-		for _, sp := range chains[i] {
-			points = append(points, DesignPoint{
-				M: p.m, TIDS: sp.TIDS, Detection: p.k,
-				MTTSF: sp.Result.MTTSF, Ctotal: sp.Result.Ctotal,
-			})
-		}
-	}
-	sort.Slice(points, func(a, b int) bool { return points[a].Ctotal < points[b].Ctotal })
-	return points, nil
+// struct, kept for callers predating the functional options. It behaves
+// exactly like ExploreDesignSpace.
+func ExploreDesignSpaceOpts(cfg Config, space DesignSpace, _ SweepOpts) ([]DesignPoint, error) {
+	return ExploreDesignSpace(cfg, space)
 }
 
 // ParetoFrontier filters a design-point set down to its non-dominated

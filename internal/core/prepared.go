@@ -96,19 +96,6 @@ func (p *Prepared) Solution() (*ctmc.Solution, error) {
 	return p.sol, p.solErr
 }
 
-// SolutionSwept performs (or reuses) the solve as part of a sweep chain:
-// a cache-hit Prepared feeds its memoized solution into ws so the next
-// grid point still warm-starts; a miss solves through ws, inheriting the
-// previous point's sojourn vector and the sweep's calibrated relaxation
-// factor.
-func (p *Prepared) SolutionSwept(ws *ctmc.SweepSolver) (*ctmc.Solution, error) {
-	p.solveOnce.Do(func() {
-		p.sol, p.solErr = ws.Solve(p.Chain, p.Graph.Initial)
-	})
-	ws.Observe(p.sol)
-	return p.sol, p.solErr
-}
-
 // Analyze assembles the full Result (MTTSF, Ĉtotal and its breakdown,
 // failure split, utilization, energy) from the shared single solve. The
 // Result is computed once and memoized on the Prepared; callers receive a

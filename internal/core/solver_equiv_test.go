@@ -117,36 +117,49 @@ func TestBackendsMatchDenseLUOnModelGrid(t *testing.T) {
 	}
 }
 
-// TestBackendsMatchDenseLUWarmSwept extends the equivalence property to
-// warm-started sweep points: chaining a TIDS sweep through a SweepSolver
-// under every backend must still land on the dense-LU answer at every grid
-// point.
+// TestBackendsMatchDenseLUWarmSwept checks a TIDS sweep with Config.Solver
+// pinned to each backend against the dense-LU MTTSF and a per-point
+// full-prepare Analyze at every grid point. Only the sweep's anchor (its
+// first point) is solved by the pinned backend: the later points are
+// patched and answered by PatchedChain's exact block-triangular tier
+// whatever the backend, so this pins that the backend choice cannot leak
+// into a sweep's answers. The per-backend frozen-ILU Krylov tier of
+// patched points is checked element by element against dense LU in
+// TestPatchedResolveMatchesFullPrepare.
 func TestBackendsMatchDenseLUWarmSwept(t *testing.T) {
-	grid := []float64{30, 120, 480}
+	grid := []float64{30, 120, 480, 1200}
 	base := DefaultConfig()
 	base.N = 10
+	prev := SetDefaultEvaluator(Direct{Workers: 1})
+	defer SetDefaultEvaluator(prev)
 	for _, name := range ctmc.SolverBackendNames() {
-		ws := ctmc.NewSweepSolver()
-		for _, tids := range grid {
-			cfg := base
-			cfg.TIDS = tids
-			cfg.Solver = name
-			p, err := Prepare(cfg)
+		cfg := base
+		cfg.Solver = name
+		points, err := SweepTIDS(cfg, grid)
+		if err != nil {
+			t.Fatalf("solver %s: %v", name, err)
+		}
+		for i, pt := range points {
+			c := cfg
+			c.TIDS = grid[i]
+			p, err := Prepare(c)
 			if err != nil {
-				t.Fatalf("solver %s TIDS %v: %v", name, tids, err)
+				t.Fatalf("solver %s TIDS %v: %v", name, c.TIDS, err)
 			}
-			sol, err := p.SolutionSwept(ws)
+			dense := 0.0
+			for _, v := range denseSojournReference(t, p) {
+				dense += v
+			}
+			if d := relDiff(pt.Result.MTTSF, dense); d > 1e-10 {
+				t.Errorf("solver %s TIDS %v: swept MTTSF %v, dense LU %v (rel %g)", name, c.TIDS, pt.Result.MTTSF, dense, d)
+			}
+			want, err := p.Analyze()
 			if err != nil {
-				t.Fatalf("solver %s TIDS %v: %v", name, tids, err)
+				t.Fatalf("solver %s TIDS %v: %v", name, c.TIDS, err)
 			}
-			want := denseSojournReference(t, p)
-			y := sol.SojournTimes()
-			scale := 1 + want.NormInf()
-			for i := range want {
-				if d := y[i] - want[i]; d > 1e-10*scale || d < -1e-10*scale {
-					t.Fatalf("solver %s TIDS %v: warm sojourn[%d] = %g, dense LU %g",
-						name, tids, i, y[i], want[i])
-				}
+			if relDiff(pt.Result.MTTSF, want.MTTSF) > 1e-10 || relDiff(pt.Result.Ctotal, want.Ctotal) > 1e-10 {
+				t.Errorf("solver %s TIDS %v: swept (%v, %v), per-point Analyze (%v, %v)",
+					name, c.TIDS, pt.Result.MTTSF, pt.Result.Ctotal, want.MTTSF, want.Ctotal)
 			}
 		}
 	}

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 
-	"repro/internal/ctmc"
 	"repro/internal/obs"
 	"repro/internal/shapes"
 )
@@ -20,35 +21,29 @@ type SweepPoint struct {
 	Result *Result
 }
 
-// SweepTIDS evaluates the model at every TIDS in grid. By default every
-// point goes through the default Evaluator's batch API: parallelism is
-// bounded by the evaluator's worker pool (no goroutine-per-point fan-out),
-// and when the memoizing engine is installed, grid points already
-// evaluated — by this sweep or any earlier one — are served from cache.
-// WithWarmStart/WithIncremental chain the points through one solver
-// session instead, and WithContext makes the sweep cancelable between
-// points.
+// SweepTIDS evaluates the model at every TIDS in grid. The points run
+// through the incremental sweep driver (EvalIncremental) on the default
+// evaluator: the grid splits into contiguous chunks — one per evaluator
+// worker, but none shorter than minChunkPoints — the chunks run in
+// parallel, and within a chunk the first miss
+// pays a full prepare while every later point re-rates the shared graph,
+// patches the generator in place and re-solves. With the memoizing engine
+// installed, points already evaluated — by this sweep or any earlier one
+// — are served from its cache. WithContext makes the sweep cancelable
+// between points; WithWarmStart and WithIncremental are accepted for
+// compatibility and change nothing.
 func SweepTIDS(cfg Config, grid []float64, opts ...SweepOption) ([]SweepPoint, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("core: empty TIDS grid")
 	}
 	sp := obs.StartStage(obs.StageSweep)
 	defer sp.End()
-	o := applySweepOptions(opts)
-	if o.WarmStart || o.Incremental {
-		if pe, ok := DefaultEvaluator().(PreparedEvaluator); ok {
-			return sweepTIDSChained(cfg, grid, o, pe)
-		}
-	}
-	if err := o.ctxErr(); err != nil {
-		return nil, err
-	}
 	cfgs := make([]Config, len(grid))
 	for i, tids := range grid {
 		cfgs[i] = cfg
 		cfgs[i].TIDS = tids
 	}
-	results, err := evalBatchMaybeCtx(o, cfgs)
+	results, err := evalSweep(applySweepOptions(opts), cfgs)
 	if err != nil {
 		return nil, fmt.Errorf("core: TIDS sweep: %w", err)
 	}
@@ -59,93 +54,149 @@ func SweepTIDS(cfg Config, grid []float64, opts ...SweepOption) ([]SweepPoint, e
 	return points, nil
 }
 
-// SweepOpts selects how a grid sweep evaluates its points.
+// SweepOpts is the legacy options struct of SweepTIDSOpts and
+// ExploreDesignSpaceOpts. Every sweep now takes the parallel incremental
+// path, so neither field selects anything; both are kept so existing
+// callers compile.
 type SweepOpts struct {
-	// WarmStart chains the grid points through one ctmc.SweepSolver: each
-	// point's transient solve starts from the previous point's sojourn
-	// vector — the TIDS grid yields structurally identical state spaces
-	// with identical numbering (detection intervals change rates, never
-	// reachability), so the vectors align index-for-index even though
-	// each point still prepares its own graph — and the first solve
-	// calibrates the SOR relaxation factor the rest of the family runs
-	// at. Together they cut the sweep's solver iterations well past the
-	// 30% acceptance bar — ctmc.SolveIterations exposes the counter that
-	// proves it. Warm sweeps evaluate points in grid order on the calling
-	// goroutine (the chaining is inherently sequential); cold sweeps fan
-	// out over the evaluator's worker pool. Results are
-	// tolerance-identical (1e-12 relative residual) either way.
+	// WarmStart once chained the grid points through a warm-started,
+	// sequential solver session. It has no effect.
 	WarmStart bool
-	// Incremental routes neighbouring grid points through the
-	// patch+re-solve path (PreparedDelta): the first point pays a full
-	// prepare and anchors an incremental session; every later rate-only
-	// point re-rates the shared graph, patches the cached generator
-	// pattern in place, and re-solves through the session's reused
-	// factorization (exact block-triangular, frozen-ILU Krylov fallback)
-	// — skipping explore, assembly, transpose, and symbolic
-	// factorization. Structural deltas and hard solve failures fall back
-	// to the full path (and re-anchor), so results are always
-	// tolerance-identical to a cold sweep. Implies WarmStart's sequential
-	// evaluation order.
+	// Incremental once routed the grid points through the sequential
+	// patch+re-solve path, which every sweep now takes in parallel
+	// chunks. It has no effect.
 	Incremental bool
 }
 
 // SweepTIDSOpts is SweepTIDS with an explicit options struct, kept for
-// callers predating the functional options. With WarmStart set and a
-// PreparedEvaluator installed (both Direct and the memoizing engine
-// qualify), each solve warm-starts from the previous grid point; otherwise
-// it behaves exactly like SweepTIDS.
-func SweepTIDSOpts(cfg Config, grid []float64, opts SweepOpts) ([]SweepPoint, error) {
-	return SweepTIDS(cfg, grid, withSweepOpts(opts))
+// callers predating the functional options. It behaves exactly like
+// SweepTIDS.
+func SweepTIDSOpts(cfg Config, grid []float64, _ SweepOpts) ([]SweepPoint, error) {
+	return SweepTIDS(cfg, grid)
 }
 
-// sweepTIDSChained is the warm/incremental sequential path: points
-// evaluate in grid order on the calling goroutine through one
-// ctmc.SweepSolver (and, with Incremental, one PreparedDelta session).
-func sweepTIDSChained(cfg Config, grid []float64, opts sweepConfig, pe PreparedEvaluator) ([]SweepPoint, error) {
-	points := make([]SweepPoint, len(grid))
-	ws := ctmc.NewSweepSolver()
-	var pd *PreparedDelta
-	for i, tids := range grid {
-		if err := opts.ctxErr(); err != nil {
+// evalSweep evaluates the points of a grid driver through the default
+// evaluator's incremental path (EvalIncremental) under its worker bound.
+// Per-point errors are joined like RunBatch's.
+func evalSweep(o sweepConfig, cfgs []Config) ([]*Result, error) {
+	if err := o.ctxErr(); err != nil {
+		return nil, err
+	}
+	ctx := o.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ev := DefaultEvaluator()
+	results, errs := EvalIncremental(ctx, ev, cfgs, ev.WorkerBound())
+	if err := o.ctxErr(); err != nil {
+		return nil, err
+	}
+	return results, joinPointErrors(cfgs, errs)
+}
+
+// minChunkPoints is the shortest chunk EvalIncremental cuts a group into.
+// Every chunk pays one full prepare where a single sequential walk would
+// patch, and a full prepare costs about four patched points (measured at N
+// 40-60 over a 24-point TIDS grid: ~4.5 ms against ~1.2 ms of CPU), so each
+// cut adds about three patched points' worth of CPU. Chunks of at least
+// six points keep that overhead under half of the patched work they carry:
+// a group costs at most ~1.5x the CPU of one sequential walk, whatever the
+// worker count, and still far less than a full prepare per point.
+const minChunkPoints = 6
+
+// cutChunks cuts the batch indices of one structural group into
+// min(workers, len(idx)/minChunkPoints) contiguous chunks of near-equal
+// length, and never fewer than one.
+func cutChunks(idx []int, workers int) [][]int {
+	k := max(1, min(workers, len(idx)/minChunkPoints))
+	chunks := make([][]int, k)
+	for c := range chunks {
+		chunks[c] = idx[c*len(idx)/k : (c+1)*len(idx)/k]
+	}
+	return chunks
+}
+
+// EvalIncremental evaluates cfgs through ev on the incremental re-solve
+// path, in parallel. The points are grouped by StructuralKey (groups in
+// first-seen order, points in batch order within a group); each group is
+// cut into at most workers contiguous chunks of at least minChunkPoints
+// points (a shorter group is one chunk), and the chunks run over at most
+// workers goroutines (0 means GOMAXPROCS). Each chunk walks its points
+// through one DeltaSession: the first miss pays a full prepare, later
+// rate-only points patch and re-solve, and a structural delta or a hard
+// failure re-anchors the session. Results are in batch order; errs[i] is
+// point i's error, ctx.Err() for every point not started once ctx is done
+// (ctx is checked before each point).
+func EvalIncremental(ctx context.Context, ev Evaluator, cfgs []Config, workers int) (results []*Result, errs []error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var order []string
+	groups := make(map[string][]int)
+	for i, cfg := range cfgs {
+		key := StructuralKey(cfg)
+		if _, ok := groups[key]; !ok {
+			order = append(order, key)
+		}
+		groups[key] = append(groups[key], i)
+	}
+	var chunks [][]int
+	for _, key := range order {
+		chunks = append(chunks, cutChunks(groups[key], workers)...)
+	}
+	results = make([]*Result, len(cfgs))
+	errs = make([]error, len(cfgs))
+	ForEachIndexed(len(chunks), workers, func(c int) {
+		s := NewDeltaSession(ev)
+		for _, i := range chunks[c] {
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
+				continue
+			}
+			results[i], errs[i] = s.Eval(ctx, cfgs[i])
+		}
+	})
+	return results, errs
+}
+
+// DeltaSession walks points of one structural family through a single
+// PreparedDelta chain on an Evaluator: the first miss pays a full prepare
+// (ev.Prepared, so the engine caches it) and anchors the chain, every
+// later rate-only miss patches and re-solves in place, and a structural
+// delta or a hard patched-solve failure falls back to the full path and
+// re-anchors. Cache hits cost nothing and do not advance the chain. Not
+// safe for concurrent use.
+type DeltaSession struct {
+	ev Evaluator
+	pd *PreparedDelta
+}
+
+// NewDeltaSession starts an empty session on ev.
+func NewDeltaSession(ev Evaluator) *DeltaSession { return &DeltaSession{ev: ev} }
+
+// Eval evaluates one point through the session, returning ctx.Err()
+// without starting when ctx is already done. A point once started runs to
+// completion: solver kernels are not preemptible.
+func (s *DeltaSession) Eval(ctx context.Context, cfg Config) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.ev.EvalWith(cfg, func() (*Prepared, error) {
+		if s.pd != nil {
+			if p, err := s.pd.Prepared(cfg); err == nil {
+				return p, nil
+			}
+			s.pd = nil
+		}
+		p, err := s.ev.Prepared(cfg)
+		if err != nil {
 			return nil, err
 		}
-		c := cfg
-		c.TIDS = tids
-		// Result-cached points cost neither a build nor a solve (they
-		// simply don't advance the warm chain — the next miss starts
-		// from the last actually-solved neighbour, which is still a
-		// valid guess).
-		res, err := pe.EvalWith(c, func() (*Prepared, error) {
-			if opts.Incremental && pd != nil {
-				if p, err := pd.Prepared(c); err == nil {
-					return p, nil
-				}
-				// Structural delta or hard patched-solve failure: fall
-				// through to the full path and re-anchor on its result.
-				pd = nil
-			}
-			p, err := pe.Prepared(c)
-			if err != nil {
-				return nil, err
-			}
-			sol, err := p.SolutionSwept(ws)
-			if err != nil {
-				return nil, err
-			}
-			if opts.Incremental {
-				if npd, err := NewPreparedDelta(p); err == nil {
-					npd.Observe(sol)
-					pd = npd
-				}
-			}
-			return p, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: TIDS sweep (TIDS=%v): %w", tids, err)
+		if pd, err := NewPreparedDelta(p); err == nil {
+			s.pd = pd
 		}
-		points[i] = SweepPoint{TIDS: tids, Result: res}
-	}
-	return points, nil
+		return p, nil
+	})
 }
 
 // Optimum describes the best grid point found by a sweep.

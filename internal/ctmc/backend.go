@@ -38,8 +38,8 @@ type SolveContext struct {
 	// must not modify it.
 	X0 linalg.Vector
 	// ILU returns the ILU(0) factorization of A, computed at most once per
-	// chain and shared by every solve of the same matrix — each sweep point
-	// and warm-started SweepSolver solve reuses the factors rather than
+	// chain and shared by every solve of the same matrix — each
+	// warm-started or all-starts solve reuses the factors rather than
 	// refactoring. For a value-patched system the factors may be *frozen*
 	// (computed for a nearby matrix): Krylov backends tolerate an
 	// approximate preconditioner, paying iterations instead of wrong

@@ -269,23 +269,15 @@ func (c *Chain) solveVia(a *linalg.CSR, rhs, x0 linalg.Vector, ilu func() (*lina
 	return x, err
 }
 
-// cascade is the counter-free solver body (SOR -> BiCGSTAB -> dense LU);
-// callers account one SolveCount per logical transient solve themselves.
+// cascade is the counter-free solver body (SOR -> BiCGSTAB -> dense LU for
+// small systems); callers account one SolveCount per logical transient
+// solve themselves.
 func cascade(ctx *SolveContext) (linalg.Vector, error) {
 	x, res, err := linalg.SolveSOR(ctx.A, ctx.B, linalg.IterOpts{Tol: solverTol, MaxIter: solverMaxIter, X0: ctx.X0})
 	ctx.countIters(BackendSORCascade, uint64(res.Iterations))
 	if err == nil {
 		return x, nil
 	}
-	return cascadeTail(ctx, err)
-}
-
-// cascadeTail is the cascade after a failed full-budget SOR attempt
-// (BiCGSTAB, then dense LU for small systems). The sweep solver enters
-// here directly when its ω = 1 calibration attempt — already an identical
-// full-budget SOR run — failed, rather than paying the same 40k sweeps
-// twice.
-func cascadeTail(ctx *SolveContext, sorErr error) (linalg.Vector, error) {
 	x, res, err2 := linalg.SolveBiCGSTAB(ctx.A, ctx.B, linalg.IterOpts{Tol: solverTol, MaxIter: solverMaxIter, X0: ctx.X0})
 	ctx.countIters(BackendSORCascade, uint64(res.Iterations))
 	if err2 == nil {
@@ -297,7 +289,7 @@ func cascadeTail(ctx *SolveContext, sorErr error) (linalg.Vector, error) {
 			return xd, nil
 		}
 	}
-	return nil, fmt.Errorf("ctmc: linear solve failed: SOR %v; BiCGSTAB %v", sorErr, err2)
+	return nil, fmt.Errorf("ctmc: linear solve failed: SOR %v; BiCGSTAB %v", err, err2)
 }
 
 // SojournTimes returns, for a chain started in state init, the expected

@@ -492,8 +492,8 @@ func (e *Engine) Prepared(cfg core.Config) (*core.Prepared, error) {
 }
 
 // EvalWith evaluates cfg through the result cache and in-flight dedup,
-// calling prepare — the warm-start sweep drivers build and warm-solve the
-// model there — only on a miss, and recording the fresh Result so later
+// calling prepare — a core.DeltaSession builds or patches the model and
+// solves it there — only on a miss, and recording the fresh Result so later
 // Evals of the same point are ordinary hits instead of depending on the
 // prepared model surviving the byte-budgeted LRU. A fully cached sweep
 // thus re-solves nothing.
@@ -533,7 +533,7 @@ func (e *Engine) EvalBatchContext(ctx context.Context, cfgs []core.Config) ([]*c
 }
 
 // WorkerBound reports the engine's batch-parallelism cap, so core's
-// warm-start drivers fan out under the same bound as EvalBatch.
+// incremental sweep chunks fan out under the same bound as EvalBatch.
 func (e *Engine) WorkerBound() int { return e.workers }
 
 // Survival estimates the survival function with reps exact CTMC samples,

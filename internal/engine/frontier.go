@@ -124,7 +124,7 @@ type frontierRun struct {
 	budget   int
 	evals    int
 	maxC     float64 // highest Ĉtotal observed so far (acquisition clamp)
-	sessions map[string]*deltaSession
+	sessions map[string]*core.DeltaSession
 	emit     func(FrontierRevision) error
 }
 
@@ -151,7 +151,7 @@ func (e *Engine) AdaptiveFrontier(ctx context.Context, cfg core.Config, opts Fro
 		fm:       core.NewFrontierMaintainer(),
 		total:    opts.Space.Size(),
 		budget:   opts.EvalBudget,
-		sessions: make(map[string]*deltaSession, 1),
+		sessions: make(map[string]*core.DeltaSession, 1),
 		emit:     emit,
 	}
 	if r.budget <= 0 {
@@ -780,10 +780,10 @@ func (r *frontierRun) evalCandidate(ctx context.Context, c *frontierCandidate) e
 	key := core.StructuralKey(c.cfg)
 	sess := r.sessions[key]
 	if sess == nil {
-		sess = &deltaSession{e: r.e}
+		sess = core.NewDeltaSession(r.e)
 		r.sessions[key] = sess
 	}
-	res, err := sess.eval(ctx, c.cfg)
+	res, err := sess.Eval(ctx, c.cfg)
 	release()
 	if err != nil {
 		return fmt.Errorf("engine: frontier (m=%d TIDS=%v detection=%v): %w", c.m, c.tids, c.det, err)

@@ -9,84 +9,24 @@ import (
 )
 
 // EvalBatchIncremental evaluates a batch through the incremental re-solve
-// path: configurations are grouped by core.StructuralKey (groups keep their
-// discovery order, points keep batch order within a group), and each group
-// is walked sequentially through one core.PreparedDelta session — the first
-// miss pays a full prepare and anchors the session, every later rate-only
-// miss re-rates the shared graph, patches the cached generator pattern in
-// place, and re-solves through the session's reused factorization (exact
-// block-triangular, frozen-ILU Krylov fallback). Cache hits
-// cost nothing, exactly as in EvalBatch, and every fresh Result is recorded
-// in the Result cache.
-//
-// Groups run one after another on the calling goroutine: the patch chain is
-// inherently sequential, and the point of this entry is to trade EvalBatch's
-// parallelism for the (larger) algorithmic saving when the batch is a dense
-// rate-only family. Batches spanning many structural keys are better served
-// by EvalBatch. Per-point errors are joined, order is preserved, and the
-// context is checked before each point like EvalBatchContext.
+// path, core.EvalIncremental — the same driver every core sweep takes:
+// configurations are grouped by core.StructuralKey, each group is cut into
+// contiguous chunks, and the chunks run in parallel under the engine's
+// worker bound, each walking its points through one core.DeltaSession. The
+// first miss of a chunk pays a full prepare (cached in the prepared LRU)
+// and anchors the session; every later rate-only miss re-rates the shared
+// graph, patches the cached generator pattern in place, and re-solves
+// through the session's reused factorization (exact block-triangular,
+// frozen-ILU Krylov fallback). Cache hits cost nothing, exactly as in
+// EvalBatch, and every fresh Result is recorded in the Result cache.
+// Per-point errors are joined, order is preserved, and the context is
+// checked before each point like EvalBatchContext.
 func (e *Engine) EvalBatchIncremental(ctx context.Context, cfgs []core.Config) ([]*core.Result, error) {
-	results := make([]*core.Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-
-	// Group point indices by structural key, preserving first-seen group
-	// order and batch order within each group.
-	order := make([]string, 0, 4)
-	groups := make(map[string][]int, 4)
-	for i, cfg := range cfgs {
-		key := core.StructuralKey(cfg)
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-
-	for _, key := range order {
-		sess := &deltaSession{e: e}
-		for _, i := range groups[key] {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
-			}
-			res, err := sess.eval(ctx, cfgs[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("config %d: %w", i, err)
-				continue
-			}
-			results[i] = res
+	results, errs := core.EvalIncremental(ctx, e, cfgs, e.workers)
+	for i, err := range errs {
+		if err != nil && !errors.Is(err, ctx.Err()) {
+			errs[i] = fmt.Errorf("config %d: %w", i, err)
 		}
 	}
 	return results, errors.Join(errs...)
-}
-
-// deltaSession walks the points of one structural family through a single
-// PreparedDelta chain: the first miss pays a full prepare and anchors the
-// session, every later rate-only miss patches and re-solves in place, and
-// a structural delta or hard patched-solve failure falls back to the full
-// path and re-anchors. Shared by EvalBatchIncremental and the adaptive
-// frontier driver.
-type deltaSession struct {
-	e  *Engine
-	pd *core.PreparedDelta
-}
-
-// eval evaluates one point through the session (cache hits cost nothing
-// and do not advance the chain).
-func (s *deltaSession) eval(ctx context.Context, cfg core.Config) (*core.Result, error) {
-	return s.e.EvalWithContext(ctx, cfg, func() (*core.Prepared, error) {
-		if s.pd != nil {
-			if p, err := s.pd.Prepared(cfg); err == nil {
-				return p, nil
-			}
-			s.pd = nil
-		}
-		p, err := s.e.preparedFor(Fingerprint(cfg), cfg)
-		if err != nil {
-			return nil, err
-		}
-		if npd, err := core.NewPreparedDelta(p); err == nil {
-			s.pd = npd
-		}
-		return p, nil
-	})
 }
