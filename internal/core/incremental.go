@@ -71,6 +71,15 @@ func NewPreparedDelta(donor *Prepared) (*PreparedDelta, error) {
 	return pd, nil
 }
 
+// SizeBytes estimates what the session holds privately: the re-rated
+// graph's edge arena, the patched chain's value arrays, Q_TT, factors and
+// scatter maps, and the warm-start vector. The structure it shares with
+// its donor — markings, state table, generator pattern — is the donor's
+// to count (Prepared.SizeBytes).
+func (pd *PreparedDelta) SizeBytes() int64 {
+	return pd.graph.EdgeBytes() + pd.pc.SizeBytes() + int64(cap(pd.prevY))*8
+}
+
 // Prepared evaluates cfg through the patch+re-solve path, returning a
 // Prepared whose solution is already computed. A structural delta — by
 // classification or by the re-rate replay's ground-truth check — returns

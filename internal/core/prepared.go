@@ -59,31 +59,14 @@ func Prepare(cfg Config) (*Prepared, error) {
 	return &Prepared{Model: model, Graph: graph, Chain: chain}, nil
 }
 
-// SizeBytes estimates the resident footprint of the prepared model: the
-// interned markings and edge arena of the reachability graph plus the CTMC
-// generator, its (lazily cached) transient sub-generator pair, and the
-// sojourn solution. The evaluation engine byte-budgets its prepared-model
-// LRU with this estimate.
+// SizeBytes estimates the resident footprint of the prepared model once
+// solved: the reachability graph (spn.Graph.SizeBytes, from its arrays'
+// capacities), the CTMC with the solve state its first solve builds
+// (ctmc.Chain.SizeBytes: Q_TT^T and the block-triangular factors), and
+// the sojourn vector. It holds before the solve too, so the evaluation
+// engine can charge a model to its byte-budgeted LRU when it caches it.
 func (p *Prepared) SizeBytes() int64 {
-	const (
-		wordBytes = 8
-		edgeBytes = 24 // spn.Edge: To int, Rate float64, Transition int
-		csrBytes  = 16 // per nonzero: ColIdx int + Val float64
-	)
-	n := int64(p.Graph.NumStates())
-	places := int64(len(p.Graph.PlaceIdx))
-	edges := int64(p.Graph.NumEdges())
-	nnz := int64(p.Chain.Generator().NNZ())
-	size := n*places*wordBytes // marking arena
-	size += edges * edgeBytes  // edge arena
-	size += n * 3 * wordBytes  // States/Edges headers-ish + marking table
-	// Generator plus two slots bounded by the full generator each — the
-	// cached Q_TT^T and the solve state beside it (its block-triangular
-	// factors, or Q_TT and ILU(0) factors when a solve path needs them) —
-	// and the sojourn vector.
-	size += 3 * (nnz*csrBytes + (n+1)*wordBytes)
-	size += n * wordBytes
-	return size
+	return p.Graph.SizeBytes() + p.Chain.SizeBytes() + int64(p.Graph.NumStates())*8
 }
 
 // Solution returns the sojourn-time solve for the initial marking,

@@ -200,12 +200,34 @@ func (c *Chain) subGenerator() *linalg.CSR {
 	return c.sub
 }
 
-// buildSub assembles Q_TT. The compact transient numbering preserves the
-// order of the full numbering, so each restricted row is a filtered copy of
-// the full row with columns still sorted — no builder, no sort.
-func (c *Chain) buildSub() *linalg.CSR {
-	nt := len(c.tRev)
-	sub := &linalg.CSR{Rows: nt, Cols: nt, RowPtr: make([]int, nt+1)}
+// directFactorWords is the predicted size of the exact block-triangular
+// factors per transient state, in words: component id, row order, pivot,
+// block and factor offsets, the in-block entry maps and the dense factor
+// itself, for the singleton-dominated condensations of the paper's
+// models, plus append slack.
+const directFactorWords = 10
+
+// SizeBytes estimates the bytes the chain holds once solved: the
+// generator, the transient index maps, and the solve state every auto
+// solve builds — the transposed transient sub-generator Q_TT^T and the
+// exact block-triangular factors of it. The solve state is predicted from
+// the pattern (an O(nnz) count of Q_TT's entries) whether or not it has
+// been built yet, so a chain charged before its first solve is charged for
+// what that solve adds, and no lazily built field is read.
+func (c *Chain) SizeBytes() int64 {
+	const word = 8
+	n, nt := int64(c.n), int64(len(c.tRev))
+	size := csrBytes(n, int64(c.q.NNZ()))
+	size += n + n*word + nt*word // absorbing, tIdx, tRev
+	size += csrBytes(nt, int64(c.subNNZ()))
+	return size + nt*directFactorWords*word
+}
+
+// csrBytes is the footprint of a CSR with rows rows and nnz entries.
+func csrBytes(rows, nnz int64) int64 { return (rows+1)*8 + nnz*16 }
+
+// subNNZ counts the entries of Q_TT without building it.
+func (c *Chain) subNNZ() int {
 	nnz := 0
 	for _, i := range c.tRev {
 		for k := c.q.RowPtr[i]; k < c.q.RowPtr[i+1]; k++ {
@@ -214,6 +236,16 @@ func (c *Chain) buildSub() *linalg.CSR {
 			}
 		}
 	}
+	return nnz
+}
+
+// buildSub assembles Q_TT. The compact transient numbering preserves the
+// order of the full numbering, so each restricted row is a filtered copy of
+// the full row with columns still sorted — no builder, no sort.
+func (c *Chain) buildSub() *linalg.CSR {
+	nt := len(c.tRev)
+	sub := &linalg.CSR{Rows: nt, Cols: nt, RowPtr: make([]int, nt+1)}
+	nnz := c.subNNZ()
 	sub.ColIdx = make([]int, 0, nnz)
 	sub.Val = make([]float64, 0, nnz)
 	for ti, i := range c.tRev {

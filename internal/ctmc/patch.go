@@ -34,6 +34,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/faultinject"
 	"repro/internal/linalg"
 	"repro/internal/spn"
 )
@@ -141,6 +142,21 @@ func NewPatchedChain(donor *Chain, g *spn.Graph) (*PatchedChain, error) {
 		return nil, err
 	}
 	return pc, nil
+}
+
+// SizeBytes estimates the bytes the patched chain holds privately: the
+// working chain's value arrays, its own Q_TT, its exact block-triangular
+// factors (predicted, as in Chain.SizeBytes) and the scatter maps. The
+// pattern arrays it shares with the donor are the donor's to count.
+func (pc *PatchedChain) SizeBytes() int64 {
+	const word = 8
+	c := pc.chain
+	nt := int64(len(c.tRev))
+	size := int64(cap(c.q.Val))*word + int64(cap(c.subT.Val))*word
+	size += csrBytes(nt, int64(c.sub.NNZ()))
+	size += nt * directFactorWords * word
+	maps := cap(pc.edgeSlot) + cap(pc.diagSlot) + cap(pc.subToQ) + cap(pc.subTPerm)
+	return size + int64(maps)*word
 }
 
 // Chain returns the working chain. Its generator values reflect the last
@@ -367,6 +383,11 @@ func (pc *PatchedChain) drift() float64 {
 // and on a solve failure the refactor+retry happens once before the error
 // escapes. The returned Solution aliases the working chain: consume it
 // before the next PatchRates call.
+//
+// The solver fault probes apply here as on the ladder's primary rung: a
+// forced breakdown fails the solve outright and a forced non-finite direct
+// answer must be refused by the admission gate, so chaos runs exercise the
+// caller's fallback from a failed patched solve to a full prepare.
 func (pc *PatchedChain) Solve(init int, warm linalg.Vector) (*Solution, error) {
 	c := pc.chain
 	at, rhs, y, done, err := c.transientSystem(init)
@@ -376,9 +397,18 @@ func (pc *PatchedChain) Solve(init int, warm linalg.Vector) (*Solution, error) {
 	if done {
 		return &Solution{chain: c, init: init, y: y}, nil
 	}
+	if faultinject.Fire(faultinject.SolverBreakdown) {
+		return nil, errors.New("faultinject: forced solver breakdown")
+	}
 	if !pc.DisableDirect {
 		sol, passes, ok := c.dirSubT.solve(at, rhs)
 		addSolveIters(blockTriBackend, uint64(passes))
+		if ok && faultinject.Fire(faultinject.SolverNonFinite) {
+			sol[0] = math.NaN()
+			if err := validateSolve(at, rhs, sol); err != nil {
+				return nil, err
+			}
+		}
 		if ok {
 			solveCount.Add(1)
 			patchedSolves.Add(1)

@@ -4,18 +4,21 @@
 // configuration) and every consumer of results (sweeps, Pareto frontiers,
 // figures, baselines, mission assurance, the public API, and the CLIs).
 //
-// The engine contributes three things on top of core.Direct:
+// The engine contributes four things on top of core.Direct:
 //
-//  1. Single-solve reuse: each configuration is prepared once (SPN built,
-//     graph explored, CTMC assembled) and solved once; MTTSF, Ĉtotal, the
-//     failure split, expected event counts, and survival sampling all
+//  1. Single-solve reuse: each configuration is solved once; MTTSF, Ĉtotal,
+//     the failure split, expected event counts, and survival sampling all
 //     derive from that one ctmc.Solution via core.Prepared.
-//  2. Memoization: full Results are cached behind a canonical Config
+//  2. Patched misses: a miss re-rates a pooled incremental session of the
+//     point's structural family (core.PreparedDelta) and re-solves in
+//     place, so only the first misses of a family explore and assemble
+//     (see evaluate).
+//  3. Memoization: full Results are cached behind a canonical Config
 //     fingerprint (see Fingerprint) in a concurrency-safe LRU with
 //     in-flight deduplication, so overlapping grids — SweepTIDS,
 //     CompareDetections, TradeoffFrontier, AssureMission, Figures,
 //     Baselines — never re-evaluate the same point.
-//  3. Bounded batching: EvalBatch fans a slice of configurations over a
+//  4. Bounded batching: EvalBatch fans a slice of configurations over a
 //     fixed worker pool (not goroutine-per-point) and joins per-point
 //     errors.
 //
@@ -66,14 +69,17 @@ type Stats struct {
 	Hits uint64
 	// Misses counts Evals that had to evaluate.
 	Misses uint64
-	// Evals counts actual model evaluations performed (== unique points
-	// evaluated, absent evictions).
+	// Evals counts model evaluations performed (== unique points
+	// evaluated, absent evictions), whether through a full prepare or a
+	// patched re-solve; PatchedSolves below counts the latter.
 	Evals uint64
 	// Evictions counts Result-cache LRU evictions across all shards.
 	Evictions uint64
-	// Entries and PreparedEntries are current cache occupancies.
+	// Entries and PreparedEntries are current cache occupancies; a
+	// family's pool of idle incremental sessions is one prepared entry.
 	Entries, PreparedEntries int
-	// PreparedBytes is the estimated footprint of the prepared-model LRU.
+	// PreparedBytes is the estimated footprint of the prepared-model LRU:
+	// the cached Prepared models and the idle sessions beside them.
 	PreparedBytes int64
 
 	// PanicsRecovered counts evaluations that panicked and were recovered
@@ -122,15 +128,19 @@ func (s Stats) String() string {
 // fingerprint-hashed shards, each behind its own mutex, so concurrent
 // cache hits from EvalBatch workers touch disjoint locks. Hit/miss/eval
 // accounting is kept in atomics shared across shards. The prepared-model
-// cache stays behind one mutex: its entries are built rarely (misses cost
-// a full model build) and the lock is never held across a build.
+// cache stays behind one mutex: it is touched once or twice per miss (to
+// take and return a pooled session, or to find and cache a full prepare)
+// and the lock is never held across a build or a solve.
 type Engine struct {
 	workers int
 
 	shards []resultShard
 
-	pmu      sync.Mutex
-	prepared *lruCache // fingerprint -> *core.Prepared, byte-budgeted
+	pmu sync.Mutex
+	// prepared maps fingerprints to full *core.Prepared models and
+	// poolKey(family) to that structural family's *sessionPool, all under
+	// one byte budget.
+	prepared *lruCache
 
 	// Counters live in the engine's own metric registry (reg) so each
 	// Engine instance owns its series — tests build many engines per
@@ -204,7 +214,7 @@ func New(opts Options) *Engine {
 	e.misses = e.reg.Counter("repro_engine_cache_misses_total",
 		"Result-cache misses that started an evaluation.")
 	e.evals = e.reg.Counter("repro_engine_evals_total",
-		"Full explore+assemble+solve evaluations performed.")
+		"Model evaluations performed, full prepares and patched re-solves alike (repro_incremental_patched_solves_total counts the latter).")
 	e.panicsRecovered = e.reg.Counter("repro_engine_panics_recovered_total",
 		"Evaluations that panicked and were converted to errors.")
 	e.nonFiniteRejected = e.reg.Counter("repro_engine_nonfinite_rejected_total",
@@ -234,14 +244,14 @@ func New(opts Options) *Engine {
 			return float64(n)
 		})
 	e.reg.GaugeFunc("repro_engine_prepared_entries",
-		"Prepared-model cache entries currently held.",
+		"Prepared-model cache entries currently held (a family's idle session pool is one entry).",
 		func() float64 {
 			e.pmu.Lock()
 			defer e.pmu.Unlock()
 			return float64(e.prepared.len())
 		})
 	e.reg.GaugeFunc("repro_engine_prepared_bytes",
-		"Estimated bytes held by the prepared-model cache.",
+		"Estimated bytes held by the prepared-model cache, idle sessions included.",
 		func() float64 {
 			e.pmu.Lock()
 			defer e.pmu.Unlock()
@@ -450,18 +460,145 @@ func (e *Engine) runEval(sh *resultShard, key string, c *inflightCall, compute f
 	close(c.done)
 }
 
-// evaluate performs a cache miss: reuse (or build) the prepared model and
-// derive the Result from its single solve.
+// evaluate performs a cache miss. When an idle session of the point's
+// structural family is pooled, the point is patched and re-solved on it
+// and the session goes back to the pool once Analyze has returned: the
+// patched Prepared aliases the session's working arrays, so the next user
+// may patch only after the Result (a fresh struct) is built. A patched
+// Prepared is never cached. A point the session cannot take — a
+// structural delta or any solve failure — drops the session (its state
+// is suspect) and takes the full path: reuse or build the prepared model,
+// cache it, analyse it, and seed the family's pool with a new session
+// anchored on it. Only points solved by the auto backend use the pool
+// (see patchable).
 func (e *Engine) evaluate(key string, cfg core.Config) (*core.Result, error) {
 	if faultinject.Fire(faultinject.EnginePanic) {
 		panic("faultinject: forced panic inside engine evaluation")
+	}
+	family, pooled := poolKey(cfg), patchable(cfg)
+	if pooled {
+		if res := e.evalPatched(family, cfg); res != nil {
+			return res, nil
+		}
 	}
 	p, err := e.preparedFor(key, cfg)
 	if err != nil {
 		return nil, err
 	}
 	e.evals.Add(1)
-	return p.Analyze()
+	res, err := p.Analyze()
+	if err != nil {
+		return nil, err
+	}
+	if pooled && e.idleSessions(family) < e.workers {
+		if pd, err := core.NewPreparedDelta(p); err == nil {
+			e.putSession(family, pd)
+		}
+	}
+	return res, nil
+}
+
+// evalPatched evaluates cfg on an idle session of its family. It returns
+// nil when no session is idle, or when the session cannot take the point;
+// that session is dropped.
+func (e *Engine) evalPatched(family string, cfg core.Config) *core.Result {
+	pd := e.takeSession(family)
+	if pd == nil {
+		return nil
+	}
+	p, err := pd.Prepared(cfg)
+	if err != nil {
+		return nil
+	}
+	res, err := p.Analyze()
+	if err != nil {
+		return nil
+	}
+	e.evals.Add(1)
+	e.putSession(family, pd)
+	return res
+}
+
+// patchable reports whether cfg's misses may patch a pooled session: only
+// when cfg solves through the auto backend, whose exact block-triangular
+// first rung is the solve a patched point takes too, so both paths give
+// the same answer. A point pinned to an iterative backend (Config.Solver
+// or REPRO_SOLVER) takes the full path and is answered by that backend.
+func patchable(cfg core.Config) bool {
+	if cfg.Solver != "" {
+		return cfg.Solver == ctmc.BackendAuto
+	}
+	return ctmc.DefaultSolverBackend().Name() == ctmc.BackendAuto
+}
+
+// sessionPool is one structural family's idle incremental sessions. It
+// lives in the prepared LRU under the family's poolKey, charged at the
+// summed session estimates, so idle sessions sit under the same byte
+// budget as the models they were seeded from and an eviction drops them.
+// A session is in the pool only while idle: takeSession removes it, so no
+// two goroutines ever share one.
+type sessionPool struct {
+	idle []*core.PreparedDelta
+}
+
+func (sp *sessionPool) sizeBytes() int64 {
+	var n int64
+	for _, pd := range sp.idle {
+		n += pd.SizeBytes()
+	}
+	return n
+}
+
+// poolKey is the prepared-LRU key of cfg's structural family pool. The
+// prefix cannot begin a Fingerprint, so pools and models never collide.
+func poolKey(cfg core.Config) string { return "pool|" + core.StructuralKey(cfg) }
+
+// takeSession removes and returns an idle session of the family, or nil.
+func (e *Engine) takeSession(key string) *core.PreparedDelta {
+	e.pmu.Lock()
+	defer e.pmu.Unlock()
+	v, ok := e.prepared.get(key)
+	if !ok {
+		return nil
+	}
+	sp := v.(*sessionPool)
+	last := len(sp.idle) - 1
+	pd := sp.idle[last]
+	sp.idle[last] = nil
+	sp.idle = sp.idle[:last]
+	if len(sp.idle) == 0 {
+		e.prepared.drop(key)
+	} else {
+		e.prepared.addSized(key, sp, sp.sizeBytes())
+	}
+	return pd
+}
+
+// putSession returns an idle session to its family's pool, which keeps at
+// most e.workers sessions: one per concurrent miss the batch pool can
+// issue. A session the pool has no room for is dropped.
+func (e *Engine) putSession(key string, pd *core.PreparedDelta) {
+	e.pmu.Lock()
+	defer e.pmu.Unlock()
+	sp := &sessionPool{}
+	if v, ok := e.prepared.get(key); ok {
+		sp = v.(*sessionPool)
+	}
+	if len(sp.idle) >= e.workers {
+		return
+	}
+	sp.idle = append(sp.idle, pd)
+	e.prepared.addSized(key, sp, sp.sizeBytes())
+}
+
+// idleSessions reports how many sessions the family's pool holds.
+func (e *Engine) idleSessions(key string) int {
+	e.pmu.Lock()
+	defer e.pmu.Unlock()
+	if v, ok := e.prepared.get(key); ok {
+		return len(v.(*sessionPool).idle)
+	}
+	return 0
 }
 
 // preparedFor returns the cached prepared model for key, building and
@@ -486,7 +623,8 @@ func (e *Engine) preparedFor(key string, cfg core.Config) (*core.Prepared, error
 }
 
 // Prepared returns the (cached) fully built evaluation state for a
-// configuration, for callers that need graph-level access.
+// configuration, for callers that need graph-level access. It is always a
+// full prepare of cfg itself, never a patched session's working state.
 func (e *Engine) Prepared(cfg core.Config) (*core.Prepared, error) {
 	return e.preparedFor(Fingerprint(cfg), cfg)
 }
@@ -587,7 +725,8 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Reset empties both caches and zeroes the counters (test support).
+// Reset empties both caches, idle session pools included, and zeroes the
+// counters (test support).
 func (e *Engine) Reset() {
 	for i := range e.shards {
 		sh := &e.shards[i]

@@ -53,9 +53,7 @@ func (c *lruCache) add(key string, value any) { c.addSized(key, value, 0) }
 // first flush every other entry only to evict the value itself.
 func (c *lruCache) addSized(key string, value any, size int64) {
 	if c.maxBytes > 0 && size > c.maxBytes {
-		if el, ok := c.items[key]; ok {
-			c.remove(el)
-		}
+		c.drop(key)
 		return
 	}
 	if el, ok := c.items[key]; ok {
@@ -72,6 +70,13 @@ func (c *lruCache) addSized(key string, value any, size int64) {
 		oldest := c.order.Back()
 		c.remove(oldest)
 		c.evictions++
+	}
+}
+
+// drop removes key's entry, if present, without counting an eviction.
+func (c *lruCache) drop(key string) {
+	if el, ok := c.items[key]; ok {
+		c.remove(el)
 	}
 }
 

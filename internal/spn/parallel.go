@@ -522,6 +522,7 @@ func (e *parExplorer) assemble(n *Net, initRef uint64) (*Graph, error) {
 		PlaceIdx: make(map[string]int, len(n.placeIdx)),
 		table:    newMarkingTable(e.places, total),
 		nEdges:   nEdges,
+		edgeCap:  nEdges,
 	}
 	for name, i := range n.placeIdx {
 		g.PlaceIdx[name] = i

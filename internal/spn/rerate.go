@@ -39,6 +39,7 @@ func (g *Graph) CloneForRerate(net *Net) (*Graph, error) {
 		PlaceIdx: g.PlaceIdx,
 		table:    g.table,
 		nEdges:   g.nEdges,
+		edgeCap:  g.nEdges,
 	}
 	// One flat private arena, re-windowed per state exactly like Explore's.
 	flat := make([]Edge, 0, g.nEdges)

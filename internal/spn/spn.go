@@ -204,8 +204,9 @@ type Graph struct {
 	Initial  int
 	PlaceIdx map[string]int
 
-	table  *markingTable // marking -> state index, kept for StateIndex
-	nEdges int
+	table   *markingTable // marking -> state index, kept for StateIndex
+	nEdges  int
+	edgeCap int // capacity of the flat edge arena the Edges rows window
 }
 
 // ExploreOpts bounds state-space generation.
@@ -314,12 +315,34 @@ func (n *Net) Explore(initial Marking, opts ExploreOpts) (*Graph, error) {
 		}
 		rowStart = append(rowStart, len(flat))
 	}
-	g.nEdges = len(flat)
+	g.nEdges, g.edgeCap = len(flat), cap(flat)
 	g.Edges = make([][]Edge, len(g.States))
 	for i := range g.Edges {
 		g.Edges[i] = flat[rowStart[i]:rowStart[i+1]:rowStart[i+1]]
 	}
 	return g, nil
+}
+
+// SizeBytes reports the bytes the graph's arrays hold, from their actual
+// capacities: the marking arena (whole chunks of arenaChunkMarkings
+// markings), the state table, one slice header per state, and EdgeBytes.
+// The net and the place index are not counted.
+func (g *Graph) SizeBytes() int64 {
+	const word, header = 8, 24
+	chunks := (int64(len(g.States)) + arenaChunkMarkings - 1) / arenaChunkMarkings
+	size := chunks * arenaChunkMarkings * int64(max(len(g.PlaceIdx), 1)) * word
+	size += int64(cap(g.States)) * header
+	if g.table != nil {
+		size += int64(len(g.table.keys))*word + int64(len(g.table.idxs))*4
+	}
+	return size + g.EdgeBytes()
+}
+
+// EdgeBytes reports the bytes of the edge arena and of the per-state edge
+// windows: everything a CloneForRerate clone holds privately.
+func (g *Graph) EdgeBytes() int64 {
+	const edgeBytes, header = 24, 24 // Edge: To, Rate, Transition
+	return int64(g.edgeCap)*edgeBytes + int64(cap(g.Edges))*header
 }
 
 // NumStates returns the number of reachable states.
