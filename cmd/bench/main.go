@@ -9,7 +9,7 @@
 // Usage:
 //
 //	bench [-preset small|full] [-rev name] [-o file] [-baseline file]
-//	      [-par n] [-gate factor] [-allow workload,...] [-trajectory]
+//	      [-gate factor] [-allow workload,...] [-trajectory]
 //
 // The small preset (N = 30, 60) finishes in well under a minute and is what
 // CI runs; the full preset adds the paper's N = 100. With -baseline the
@@ -99,25 +99,14 @@ type Result struct {
 	GridPoints int `json:"grid_points,omitempty"`
 }
 
-// FingerprintCheck records a parallel-vs-sequential exploration identity
-// check: the graph fingerprint at worker count P must equal the sequential
-// one for the parallel explorer to be trusted.
-type FingerprintCheck struct {
-	N           int    `json:"n"`
-	Parallelism int    `json:"parallelism"`
-	Fingerprint string `json:"fingerprint"`
-	Equal       bool   `json:"equal_sequential"`
-}
-
 // File is the BENCH_<rev>.json document.
 type File struct {
-	Revision     string             `json:"revision"`
-	Date         string             `json:"date"`
-	GoVersion    string             `json:"go_version"`
-	GOMAXPROCS   int                `json:"gomaxprocs"`
-	Preset       string             `json:"preset"`
-	Workloads    []Result           `json:"workloads"`
-	Fingerprints []FingerprintCheck `json:"explore_fingerprints,omitempty"`
+	Revision   string   `json:"revision"`
+	Date       string   `json:"date"`
+	GoVersion  string   `json:"go_version"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
+	Preset     string   `json:"preset"`
+	Workloads  []Result `json:"workloads"`
 }
 
 // gitRev returns the working tree's short revision, or "dev" outside a git
@@ -138,7 +127,6 @@ func main() {
 	rev := flag.String("rev", "", "revision label used in the default output name (default: git short rev)")
 	out := flag.String("o", "", "output path (default BENCH_<rev>.json)")
 	baseline := flag.String("baseline", "", "optional earlier BENCH_*.json to print speedups against")
-	par := flag.Int("par", runtime.GOMAXPROCS(0), "exploration worker shards for the parallel workloads")
 	gate := flag.Float64("gate", 0, "fail when a workload is slower than baseline by more than this factor (0 disables)")
 	allow := flag.String("allow", "", "comma-separated workload names exempt from the -gate check")
 	trajectory := flag.Bool("trajectory", false, "aggregate all committed BENCH_*.json into one speedup-over-baseline table and exit")
@@ -183,8 +171,7 @@ func main() {
 		Preset:     *preset,
 	}
 	for _, n := range ns {
-		f.Workloads = append(f.Workloads, kernelWorkloads(n, *par)...)
-		f.Fingerprints = append(f.Fingerprints, fingerprintChecks(n, *par)...)
+		f.Workloads = append(f.Workloads, kernelWorkloads(n)...)
 	}
 	sweepN := ns[len(ns)-1]
 	f.Workloads = append(f.Workloads, sweepWorkloads(sweepN)...)
@@ -212,15 +199,6 @@ func main() {
 	}
 	fmt.Printf("wrote %s (%d workloads)\n", path, len(f.Workloads))
 
-	// Fail after writing, so a mismatch leaves its evidence (the per-P
-	// fingerprint records) in the JSON.
-	for _, fp := range f.Fingerprints {
-		if !fp.Equal {
-			fmt.Fprintf(os.Stderr, "bench: parallel exploration at N=%d P=%d is NOT bit-identical to sequential\n", fp.N, fp.Parallelism)
-			os.Exit(1)
-		}
-	}
-
 	if *baseline != "" {
 		regressed, err := printComparison(*baseline, f, *gate, allowSet(*allow))
 		if err != nil {
@@ -245,42 +223,6 @@ func allowSet(s string) map[string]bool {
 	return set
 }
 
-// fingerprintChecks explores the size-n model sequentially and at P in
-// {2,4,8} plus the -par worker count the timing workloads actually run
-// at, recording whether each parallel graph is bit-identical. (P=1 takes
-// the sequential path, so checking it would prove nothing.)
-func fingerprintChecks(n, par int) []FingerprintCheck {
-	explore := func(p int) *spn.Graph {
-		cfg := core.DefaultConfig()
-		cfg.N = n
-		cfg.Parallelism = p
-		m, err := core.BuildModel(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		g, err := m.Explore()
-		if err != nil {
-			fatal(err)
-		}
-		return g
-	}
-	seq := explore(0).Fingerprint()
-	ps := []int{2, 4, 8}
-	if par > 1 && par != 2 && par != 4 && par != 8 {
-		ps = append(ps, par)
-	}
-	var out []FingerprintCheck
-	for _, p := range ps {
-		fp := explore(p).Fingerprint()
-		out = append(out, FingerprintCheck{
-			N: n, Parallelism: p,
-			Fingerprint: fmt.Sprintf("%016x", fp),
-			Equal:       fp == seq,
-		})
-	}
-	return out
-}
-
 // mustPrepare builds the model and reachability graph for size n.
 func mustPrepare(n int) (*core.Model, *spn.Graph) {
 	cfg := core.DefaultConfig()
@@ -297,9 +239,9 @@ func mustPrepare(n int) (*core.Model, *spn.Graph) {
 }
 
 // kernelWorkloads measures the building blocks of one evaluation at size n:
-// cold exploration across the TIDS grid (parallel and sequential),
-// generator assembly, generator transposition, and the transient solve.
-func kernelWorkloads(n, par int) []Result {
+// cold exploration across the TIDS grid, generator assembly, generator
+// transposition, and the transient solve.
+func kernelWorkloads(n int) []Result {
 	cfg := core.DefaultConfig()
 	cfg.N = n
 	_, g := mustPrepare(n)
@@ -307,28 +249,25 @@ func kernelWorkloads(n, par int) []Result {
 
 	// explore_sweep: a cold-cache reachability sweep over the paper's TIDS
 	// grid — state-space generation is all it does, so it is the
-	// Explore-dominated workload the perf trajectory tracks. Since PR 3 it
-	// runs the sharded-frontier explorer at -par workers (the production
-	// setting for cold sweeps); explore_seq keeps the sequential number
-	// comparable across revisions.
+	// Explore-dominated workload the perf trajectory tracks. explore_seq
+	// measures the same closure: it once timed the sequential explorer
+	// next to a sharded parallel one, and both keys stay so every
+	// committed baseline keeps matching.
 	states := 0
-	exploreGrid := func(parallelism int) func() {
-		return func() {
-			states = 0
-			for _, tids := range core.PaperTIDSGrid {
-				c := cfg
-				c.TIDS = tids
-				c.Parallelism = parallelism
-				m, err := core.BuildModel(c)
-				if err != nil {
-					fatal(err)
-				}
-				gg, err := m.Explore()
-				if err != nil {
-					fatal(err)
-				}
-				states += gg.NumStates()
+	exploreGrid := func() {
+		states = 0
+		for _, tids := range core.PaperTIDSGrid {
+			c := cfg
+			c.TIDS = tids
+			m, err := core.BuildModel(c)
+			if err != nil {
+				fatal(err)
 			}
+			gg, err := m.Explore()
+			if err != nil {
+				fatal(err)
+			}
+			states += gg.NumStates()
 		}
 	}
 	throughput := func(r Result) Result {
@@ -338,8 +277,8 @@ func kernelWorkloads(n, par int) []Result {
 		}
 		return r
 	}
-	rExplore := throughput(measure("explore_sweep", n, exploreGrid(par)))
-	rExploreSeq := throughput(measure("explore_seq", n, exploreGrid(0)))
+	rExplore := throughput(measure("explore_sweep", n, exploreGrid))
+	rExploreSeq := throughput(measure("explore_seq", n, exploreGrid))
 
 	rAssemble := measure("assemble_generator", n, func() { ctmc.FromGraph(g) })
 	rAssemble.States = g.NumStates()

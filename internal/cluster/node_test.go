@@ -24,9 +24,9 @@ type fakePeer struct {
 	eng *engine.Engine
 	srv *httptest.Server
 
-	down      atomic.Bool  // every endpoint answers 500
-	permanent atomic.Bool  // peer/solve answers 422
-	mu        sync.Mutex   // guards fills
+	down      atomic.Bool // every endpoint answers 500
+	permanent atomic.Bool // peer/solve answers 422
+	mu        sync.Mutex  // guards fills
 	fills     []FillRequest
 
 	solves atomic.Int64

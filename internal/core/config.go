@@ -91,29 +91,30 @@ type Config struct {
 	ExplicitEviction bool
 	// MaxStates bounds reachability exploration (default 2,000,000).
 	MaxStates int
-	// Parallelism sets the number of sharded-frontier worker goroutines
-	// used for reachability exploration (0 or 1 = sequential). It is an
-	// execution policy, not a model parameter: the reachability graph —
-	// and therefore every metric — is byte-identical for every value, so
-	// the evaluation engine excludes it from Config fingerprints and
-	// configurations differing only here share cache entries. Model
-	// exploration builds one model replica per extra worker so the rate
-	// memos stay unsynchronized on the hot path.
+	// Parallelism has no effect: it is accepted and ignored. Exploration
+	// is always the sequential explorer, and sweeps, batches and the
+	// cluster parallelise across points instead. The field stays so that
+	// existing callers and HTTP bodies keep working; a negative value is
+	// still rejected by Validate. The evaluation engine excludes it from
+	// Config fingerprints, so configurations differing only here share
+	// cache entries.
 	Parallelism int
 	// Solver selects the linear-solver backend the transient sojourn
-	// solves run through: "" or "auto" picks by problem size (the SOR
-	// cascade only for tiny systems below a few hundred transient states,
-	// ILU(0)-preconditioned BiCGSTAB everywhere above — the measured
-	// crossover; see ctmc's autoKrylovStates), or name a registered
-	// backend explicitly ("sor-cascade", "ilu-bicgstab", "gmres"; see
-	// ctmc.SolverBackendNames). Like Parallelism it is an execution
-	// policy, not a model parameter: every backend converges to the same
-	// 1e-12 relative residual, so the evaluation engine excludes it from
-	// Config fingerprints and configurations differing only here share
-	// cache entries — including prepared models, which keep the backend
-	// of whichever spelling prepared them first. The REPRO_SOLVER
-	// environment variable overrides the default for the whole process
-	// (CI runs the test suite as a matrix over it).
+	// solves run through: "" or "auto" tries the exact block-triangular
+	// direct solve first and, for a chain it declines, picks an iterative
+	// backend by problem size (the SOR cascade below a few hundred
+	// transient states, ILU(0)-preconditioned BiCGSTAB above; see ctmc's
+	// autoKrylovStates), or names a registered backend explicitly
+	// ("sor-cascade", "ilu-bicgstab", "gmres"; see ctmc.SolverBackendNames).
+	// Unlike Parallelism, which has no effect, it changes how a point is
+	// solved, but it is an execution policy, not a model parameter: every
+	// backend converges to the same 1e-12 relative residual, so the
+	// evaluation engine excludes it from Config fingerprints and
+	// configurations differing only here share cache entries — including
+	// prepared models, which keep the backend of whichever spelling
+	// prepared them first. The REPRO_SOLVER environment variable overrides
+	// the default for the whole process (CI runs the test suite as a
+	// matrix over it).
 	Solver string
 }
 

@@ -38,8 +38,8 @@ type DeltaKind int
 
 const (
 	// DeltaNone means the configurations are evaluation-equivalent (they
-	// differ at most in execution policy: Parallelism, Solver, or the
-	// spelling of defaults).
+	// differ at most in execution policy: Solver, the no-op Parallelism,
+	// or the spelling of defaults).
 	DeltaNone DeltaKind = iota
 	// DeltaRateOnly means the reachability graph is identical and only
 	// generator values (and cost rewards) change — the patch+re-solve
@@ -107,9 +107,9 @@ func ClassifyDelta(a, b Config) DeltaKind {
 }
 
 // normalizeForDelta strips the axes that never affect evaluation results:
-// execution policy (Parallelism, Solver), the default-vs-explicit spelling
-// of MaxStates, and the Cost pointer (cost equivalence is compared through
-// EffectiveCost by the caller).
+// execution policy (Solver, the no-op Parallelism), the default-vs-explicit
+// spelling of MaxStates, and the Cost pointer (cost equivalence is compared
+// through EffectiveCost by the caller).
 func normalizeForDelta(cfg Config) Config {
 	cfg.Parallelism = 0
 	cfg.Solver = ""

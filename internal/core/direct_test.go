@@ -1,12 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/ctmc"
 	"repro/internal/linalg"
+	"repro/internal/obs"
+	"repro/internal/shapes"
 )
 
 // paperModelVariants are the detection architectures the direct-rung tests
@@ -153,6 +158,78 @@ func TestPatchedSensitivitiesMatchFullPrepare(t *testing.T) {
 				math.Abs(got[i].DMTTSF-want[i].DMTTSF) > 1e-9*(1+math.Abs(want[i].DMTTSF)) {
 				t.Fatalf("TIDS=%g: patched sensitivity %+v, full prepare %+v", tids, got[i], want[i])
 			}
+		}
+	}
+}
+
+// directDeclines reads repro_solver_direct_declines_total from the /metrics
+// exposition of the default registry, by reason.
+func directDeclines(t *testing.T) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.Default().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, `repro_solver_direct_declines_total{reason="`)
+		if !ok {
+			continue
+		}
+		reason, value, ok := strings.Cut(rest, `"} `)
+		if !ok {
+			t.Fatalf("unparsable decline sample %q", line)
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[reason] = v
+	}
+	for _, reason := range []string{"scc_too_large", "singular", "stalled"} {
+		if _, ok := out[reason]; !ok {
+			t.Fatalf("/metrics has no repro_solver_direct_declines_total{reason=%q} series", reason)
+		}
+	}
+	return out
+}
+
+// TestPaperGridNeverDeclinesDirect pins that the exact direct solve answers
+// every paper model: both protocols, N in {10, 20, 40, 60} (and 100 unless
+// -short), one and four groups, all three detection shapes, and the
+// explicit-eviction model at N <= 40, with no decline of any reason.
+func TestPaperGridNeverDeclinesDirect(t *testing.T) {
+	ns := []int{10, 20, 40, 60}
+	if !testing.Short() {
+		ns = append(ns, 100)
+	}
+	before := directDeclines(t)
+	points := 0
+	for _, proto := range []Protocol{ProtocolVoting, ProtocolClusterHead} {
+		for _, n := range ns {
+			for _, groups := range []int{1, 4} {
+				for _, det := range []shapes.Kind{shapes.Logarithmic, shapes.Linear, shapes.Polynomial} {
+					for _, explicit := range []bool{false, true} {
+						if explicit && n > 40 {
+							continue
+						}
+						cfg := DefaultConfig()
+						cfg.Protocol, cfg.N, cfg.MaxGroups = proto, n, groups
+						cfg.Detection, cfg.ExplicitEviction = det, explicit
+						cfg.Solver = ctmc.BackendAuto
+						if _, err := Analyze(cfg); err != nil {
+							t.Fatalf("%v N=%d groups=%d %v explicit=%v: %v", proto, n, groups, det, explicit, err)
+						}
+						points++
+					}
+				}
+			}
+		}
+	}
+	after := directDeclines(t)
+	for reason, v := range after {
+		if d := v - before[reason]; d != 0 {
+			t.Errorf("%g direct-solve declines (%s) over %d paper models, want 0", d, reason, points)
 		}
 	}
 }

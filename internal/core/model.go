@@ -332,12 +332,6 @@ func (m *Model) rekeyTime(mk spn.Marking) float64 {
 // exploration from the token-count bounds of the Figure 1 net: Tm ≤ N,
 // UCm ≲ Tm/2 (the C2 guard), NG ≤ MaxGroups, and — in the extended model —
 // a DCm axis that multiplies the space by roughly N/2.
-//
-// With Config.Parallelism > 1 the graph is generated by the sharded-
-// frontier parallel explorer. The model's rate closures memoize through
-// unsynchronized maps, so each extra worker gets its own freshly built
-// replica of the net (identical structure and rates, private memos); the
-// resulting graph is byte-identical to the sequential one.
 func (m *Model) Explore() (*spn.Graph, error) {
 	sp := obs.StartStage(obs.StageExplore)
 	defer sp.End()
@@ -350,22 +344,5 @@ func (m *Model) Explore() (*spn.Graph, error) {
 	if hint > maxStates {
 		hint = maxStates
 	}
-	opts := spn.ExploreOpts{MaxStates: maxStates, ExpectedStates: hint}
-	if cfg.Parallelism > 1 {
-		opts.Parallelism = cfg.Parallelism
-		if opts.Parallelism > spn.MaxParallelism {
-			// The explorer clamps its worker count; don't build replicas
-			// it will never use.
-			opts.Parallelism = spn.MaxParallelism
-		}
-		opts.Replicas = make([]*spn.Net, opts.Parallelism-1)
-		for i := range opts.Replicas {
-			replica, err := BuildModel(cfg)
-			if err != nil {
-				return nil, err
-			}
-			opts.Replicas[i] = replica.Net
-		}
-	}
-	return m.Net.Explore(m.Initial, opts)
+	return m.Net.Explore(m.Initial, spn.ExploreOpts{MaxStates: maxStates, ExpectedStates: hint})
 }

@@ -35,10 +35,10 @@ type Prepared struct {
 // pinned on the chain here so every solve derived from this Prepared —
 // cold, warm-started, or all-starts — runs through it. Note the memoizing
 // engine shares prepared models across solver spellings (the fingerprint
-// excludes Solver, like Parallelism): a cache-hit Prepared keeps the
-// backend of whichever spelling prepared it first, which is sound because
-// backends are execution policy — its solution is memoized and
-// tolerance-identical under every backend.
+// excludes Solver, as it excludes the no-op Parallelism): a cache-hit
+// Prepared keeps the backend of whichever spelling prepared it first,
+// which is sound because backends are execution policy — its solution is
+// memoized and tolerance-identical under every backend.
 func Prepare(cfg Config) (*Prepared, error) {
 	model, err := BuildModel(cfg)
 	if err != nil {

@@ -84,6 +84,9 @@ func TestDegradationLadder(t *testing.T) {
 			faultinject.Disable()
 			before := FallbacksByBackend()
 			faultinject.Enable(faultinject.Plan{Seed: 1, Rates: map[string]float64{fault: 1}})
+			if !faultinject.Enabled() {
+				t.Skip("fault injection is compiled out (repro_nofaults)")
+			}
 
 			c := chainLike(ref)
 			c.SetSolver(b)

@@ -16,12 +16,16 @@ package ctmc
 // diagonal block, or refinement that stalls declines the direct solve for
 // good on that matrix, so a declined pattern costs one O(nnz) Tarjan pass
 // per chain and every later solve goes straight to the iterative rung.
+// Each decline is counted once, by reason, in
+// repro_solver_direct_declines_total.
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/linalg"
+	"repro/internal/obs"
 )
 
 // directMaxBlock bounds the strongly-connected-component size the direct
@@ -41,6 +45,31 @@ const directRefinePasses = 2
 // directAnalyses counts symbolic analyses (linalg.NewBlockTriLU calls), so
 // tests can pin that a declined matrix is analyzed only once.
 var directAnalyses atomic.Uint64
+
+// Direct-solve declines by reason. The registry counters are the only
+// store; tests read them through these handles.
+var (
+	declinedSCC      = directDeclines("scc_too_large")
+	declinedSingular = directDeclines("singular")
+	declinedStalled  = directDeclines("stalled")
+)
+
+func directDeclines(reason string) *obs.Counter {
+	return obs.Default().Counter("repro_solver_direct_declines_total",
+		"Matrices the exact block-triangular direct solve declined, by reason; the iterative rung answers their solves.",
+		obs.L("reason", reason))
+}
+
+// countDecline records why NewBlockTriLU or Refresh turned a matrix down.
+// A shape mismatch is a caller bug, not a decline, and is not counted.
+func countDecline(err error) {
+	switch {
+	case errors.Is(err, linalg.ErrBlockTooLarge):
+		declinedSCC.Inc()
+	case errors.Is(err, linalg.ErrSingularBlock):
+		declinedSingular.Inc()
+	}
+}
 
 // blockTriDirect is one matrix's direct-solve state: the factorization,
 // analyzed at most once, or the record that the matrix was declined.
@@ -86,6 +115,7 @@ func (d *blockTriDirect) solve(a *linalg.CSR, rhs linalg.Vector) (x linalg.Vecto
 		// says why the matrix is declined; the iterative rung answers.
 		f, err := linalg.NewBlockTriLU(a, directMaxBlock)
 		if err != nil {
+			countDecline(err)
 			return nil, 0, false
 		}
 		d.f = f
@@ -94,6 +124,7 @@ func (d *blockTriDirect) solve(a *linalg.CSR, rhs linalg.Vector) (x linalg.Vecto
 	case d.stale:
 		d.stale = false
 		if err := d.f.Refresh(a); err != nil {
+			countDecline(err)
 			d.f = nil
 			return nil, 0, false
 		}
@@ -112,6 +143,7 @@ func (d *blockTriDirect) solve(a *linalg.CSR, rhs linalg.Vector) (x linalg.Vecto
 		}
 		if pass == directRefinePasses {
 			d.f = nil // stalled: decline this matrix from now on
+			declinedStalled.Inc()
 			return nil, pass, false
 		}
 		if r == nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/obs"
 )
 
 // ringChain builds n transient states on a bidirectional ring, each also
@@ -216,4 +217,50 @@ func TestDirectRungConcurrentSolves(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestDirectDeclinesCountedByReason pins repro_solver_direct_declines_total:
+// a cyclic component over directMaxBlock states counts one scc_too_large
+// decline however often the chain is solved, and a singular diagonal block
+// counts one singular decline.
+func TestDirectDeclinesCountedByReason(t *testing.T) {
+	counters := []*obs.Counter{declinedSCC, declinedSingular, declinedStalled}
+	snapshot := func() []uint64 {
+		v := make([]uint64, len(counters))
+		for i, c := range counters {
+			v[i] = c.Value()
+		}
+		return v
+	}
+	check := func(before []uint64, want ...uint64) {
+		t.Helper()
+		for i, c := range counters {
+			if d := c.Value() - before[i]; d != want[i] {
+				t.Errorf("decline counter %d moved by %d, want %d (scc_too_large, singular, stalled)", i, d, want[i])
+			}
+		}
+	}
+
+	before := snapshot()
+	c := refWithSolver(ringChain(directMaxBlock+36), mustBackend(t, BackendAuto))
+	for rep := 0; rep < 3; rep++ {
+		if _, err := c.Solve(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(before, 1, 0, 0)
+
+	// Two states that feed each other and nothing else: the diagonal block
+	// [[-1, 1], [1, -1]] has no nonzero second pivot.
+	b := linalg.NewSparseBuilder(2, 2)
+	b.Add(0, 0, -1)
+	b.Add(0, 1, 1)
+	b.Add(1, 0, 1)
+	b.Add(1, 1, -1)
+	before = snapshot()
+	var d blockTriDirect
+	if _, _, ok := d.solve(b.Build(), linalg.Vector{1, 1}); ok {
+		t.Fatal("direct solve accepted a singular block")
+	}
+	check(before, 0, 1, 0)
 }

@@ -18,13 +18,12 @@ import (
 //     defaults are the same cost model (both fingerprint through
 //     Config.EffectiveCost).
 //
-// Config.Parallelism and Config.Solver are deliberately omitted: both are
-// execution policies. The parallel explorer is renumbered to be
-// byte-identical to the sequential one, and every solver backend converges
-// to the same 1e-12 relative residual, so configurations differing only in
-// these knobs evaluate to identical Results (to solver tolerance) and must
-// share cache entries (pinned by TestFingerprintIgnoresParallelism and
-// TestFingerprintIgnoresSolver).
+// Config.Parallelism and Config.Solver are deliberately omitted.
+// Parallelism has no effect at all, and every solver backend converges to
+// the same 1e-12 relative residual, so configurations differing only in
+// these fields evaluate to identical Results (to solver tolerance) and
+// must share cache entries (pinned by TestFingerprintIgnoresParallelism
+// and TestFingerprintIgnoresSolver).
 //
 // Floats are encoded with exact binary formatting, so no two distinct
 // parameterizations collide.

@@ -96,6 +96,9 @@ func TestPanicRecoveredAndPropagated(t *testing.T) {
 	cfg.N = 10
 
 	faultinject.Enable(faultinject.Plan{Seed: 1, Rates: map[string]float64{faultinject.EnginePanic: 1}})
+	if !faultinject.Enabled() {
+		t.Skip("fault injection is compiled out (repro_nofaults)")
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	for i := 0; i < 4; i++ {
@@ -137,6 +140,9 @@ func TestNonFiniteResultNeverCached(t *testing.T) {
 	cfg.N = 10
 
 	faultinject.Enable(faultinject.Plan{Seed: 1, Rates: map[string]float64{faultinject.EngineNonFinite: 1}})
+	if !faultinject.Enabled() {
+		t.Skip("fault injection is compiled out (repro_nofaults)")
+	}
 	if _, err := e.Eval(cfg); err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Fatalf("Eval with injected NaN: err = %v, want non-finite rejection", err)
 	}

@@ -1,8 +1,20 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
+)
+
+// The two ways a pattern or a matrix can be turned down by BlockTriLU.
+// NewBlockTriLU and Refresh wrap them, so callers can tell the reasons
+// apart with errors.Is.
+var (
+	// ErrBlockTooLarge: a strongly connected component exceeds the
+	// block budget.
+	ErrBlockTooLarge = errors.New("linalg: BlockTriLU component exceeds the block budget")
+	// ErrSingularBlock: a diagonal block has a zero pivot.
+	ErrSingularBlock = errors.New("linalg: BlockTriLU singular diagonal block")
 )
 
 // BlockTriLU is an exact sparse factorization for matrices whose directed
@@ -139,7 +151,7 @@ func (f *BlockTriLU) condense(maxBlock int) error {
 					}
 				}
 				if m := len(f.rows) - start; m > maxBlock {
-					return fmt.Errorf("linalg: BlockTriLU component of size %d exceeds the %d-row block budget", m, maxBlock)
+					return fmt.Errorf("%w: component of %d rows, budget %d", ErrBlockTooLarge, m, maxBlock)
 				}
 				f.blkPtr = append(f.blkPtr, len(f.rows))
 				ncomp++
@@ -208,8 +220,8 @@ func (f *BlockTriLU) Refresh(a *CSR) error {
 			fac[f.entPos[k]] += a.Val[f.entVal[k]]
 		}
 		piv := f.piv[f.blkPtr[b]:f.blkPtr[b+1]]
-		if err := denseLUFactor(fac, piv, m); err != nil {
-			return fmt.Errorf("linalg: BlockTriLU block %d (%d rows): %w", b, m, err)
+		if k := denseLUFactor(fac, piv, m); k >= 0 {
+			return fmt.Errorf("%w: block %d (%d rows), pivot %d", ErrSingularBlock, b, m, k)
 		}
 	}
 	return nil
@@ -217,7 +229,8 @@ func (f *BlockTriLU) Refresh(a *CSR) error {
 
 // denseLUFactor computes an in-place LU factorization with partial
 // pivoting of the m x m row-major matrix fac, recording row swaps in piv.
-func denseLUFactor(fac []float64, piv []int, m int) error {
+// It returns the first zero pivot's index, or -1 when fac is nonsingular.
+func denseLUFactor(fac []float64, piv []int, m int) int {
 	for k := 0; k < m; k++ {
 		p, best := k, math.Abs(fac[k*m+k])
 		for i := k + 1; i < m; i++ {
@@ -226,7 +239,7 @@ func denseLUFactor(fac []float64, piv []int, m int) error {
 			}
 		}
 		if best == 0 {
-			return fmt.Errorf("singular diagonal block (pivot %d)", k)
+			return k
 		}
 		piv[k] = p
 		if p != k {
@@ -244,7 +257,7 @@ func denseLUFactor(fac []float64, piv []int, m int) error {
 			}
 		}
 	}
-	return nil
+	return -1
 }
 
 // Solve writes the exact solution of A z = r into z (z must not alias r):

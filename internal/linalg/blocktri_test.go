@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -111,5 +112,34 @@ func TestBlockTriLUNonSquare(t *testing.T) {
 	b.Add(1, 1, 1)
 	if _, err := NewBlockTriLU(b.Build(), 4); err == nil {
 		t.Fatal("non-square matrix accepted")
+	}
+}
+
+// TestBlockTriLUSentinelErrors pins that both decline reasons wrap their
+// sentinel, from the constructor and from Refresh alike.
+func TestBlockTriLUSentinelErrors(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	if _, err := NewBlockTriLU(blockCyclicSystem(12, 6, rng), 4); !errors.Is(err, ErrBlockTooLarge) {
+		t.Errorf("6-cycle under a 4-row budget: %v, want ErrBlockTooLarge", err)
+	}
+
+	b := NewSparseBuilder(2, 2)
+	b.Add(0, 0, 1)
+	b.Add(0, 1, 1)
+	b.Add(1, 0, 1)
+	b.Add(1, 1, 1)
+	a := b.Build()
+	if _, err := NewBlockTriLU(a, 4); !errors.Is(err, ErrSingularBlock) {
+		t.Errorf("singular 2x2 block: %v, want ErrSingularBlock", err)
+	}
+
+	a.Val[3] = 2 // nonsingular now
+	f, err := NewBlockTriLU(a, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Val[3] = 1 // same pattern, singular again
+	if err := f.Refresh(a); !errors.Is(err, ErrSingularBlock) {
+		t.Errorf("Refresh onto a singular block: %v, want ErrSingularBlock", err)
 	}
 }

@@ -66,12 +66,12 @@ func TestGaugeConcurrentAdd(t *testing.T) {
 func TestHistogramBucketBoundaries(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("test_hist", "t", []float64{1, 2.5, 10})
-	h.Observe(1)                              // at bound     -> bucket le=1
-	h.Observe(math.Nextafter(1, 2))           // just above   -> bucket le=2.5
-	h.Observe(2.5)                            // at bound     -> bucket le=2.5
-	h.Observe(10)                             // at last      -> bucket le=10
-	h.Observe(11)                             // beyond       -> +Inf only
-	h.Observe(-1)                             // below first  -> bucket le=1
+	h.Observe(1)                    // at bound     -> bucket le=1
+	h.Observe(math.Nextafter(1, 2)) // just above   -> bucket le=2.5
+	h.Observe(2.5)                  // at bound     -> bucket le=2.5
+	h.Observe(10)                   // at last      -> bucket le=10
+	h.Observe(11)                   // beyond       -> +Inf only
+	h.Observe(-1)                   // below first  -> bucket le=1
 	cum, count, sum := h.snapshot()
 	if want := []uint64{2, 4, 5, 6}; len(cum) != len(want) {
 		t.Fatalf("cumulative buckets = %v", cum)
@@ -105,7 +105,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				h.Observe(float64(w%2)) // half at 0 (le=0.5), half at 1 (+Inf)
+				h.Observe(float64(w % 2)) // half at 0 (le=0.5), half at 1 (+Inf)
 			}
 		}(w)
 	}

@@ -74,6 +74,9 @@ func TestTornWriteWarmBootsFromPrevious(t *testing.T) {
 	// Second save tears mid-write: the current path now holds half a
 	// container, the first save has been rotated to .prev.
 	faultinject.Enable(faultinject.Plan{Seed: 1, Rates: map[string]float64{faultinject.PersistTorn: 1}})
+	if !faultinject.Enabled() {
+		t.Skip("fault injection is compiled out (repro_nofaults)")
+	}
 	err := SaveRotating(path, e.SnapshotEntries())
 	faultinject.Disable()
 	if err == nil {
@@ -155,6 +158,9 @@ func TestFsyncFailureLeavesCurrentIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(faultinject.Plan{Seed: 1, Rates: map[string]float64{faultinject.PersistFsync: 1}})
+	if !faultinject.Enabled() {
+		t.Skip("fault injection is compiled out (repro_nofaults)")
+	}
 	err := SaveRotating(path, e.SnapshotEntries())
 	faultinject.Disable()
 	if err == nil || !strings.Contains(err.Error(), "fsync") {
@@ -178,6 +184,9 @@ func TestCheckpointerBackoffAndStatus(t *testing.T) {
 	c := NewCheckpointer(e, path, time.Hour)
 
 	faultinject.Enable(faultinject.Plan{Seed: 1, Rates: map[string]float64{faultinject.PersistFsync: 1}})
+	if !faultinject.Enabled() {
+		t.Skip("fault injection is compiled out (repro_nofaults)")
+	}
 	for i := 0; i < 3; i++ {
 		if err := c.Save(); err == nil {
 			t.Fatal("save succeeded under forced fsync failure")

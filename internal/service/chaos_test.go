@@ -135,6 +135,10 @@ func TestEndToEndChaos(t *testing.T) {
 			faultinject.SolverBreakdown: 0.30,
 			faultinject.SolverNonFinite: 0.20,
 		}})
+		if !faultinject.Enabled() {
+			ts.Close()
+			t.Skip("fault injection is compiled out (repro_nofaults)")
+		}
 
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		for i, cfg := range cfgs {

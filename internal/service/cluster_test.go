@@ -200,6 +200,9 @@ func TestClusterChaos(t *testing.T) {
 				faultinject.PeerLatency:   0.20,
 				faultinject.PeerLatencyMS: 5,
 			}})
+			if !faultinject.Enabled() {
+				t.Skip("fault injection is compiled out (repro_nofaults)")
+			}
 			got, err := client.EvalBatch(context.Background(), cfgs)
 			if err != nil {
 				t.Fatalf("sweep under cluster chaos failed: %v", err)

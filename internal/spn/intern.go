@@ -52,52 +52,6 @@ func (a *markingArena) intern(m Marking) Marking {
 	return dst
 }
 
-// packSpec is the shared per-place field layout for packing a marking
-// into one uint64. The sequential marking table and the parallel explorer
-// both pack through it, so the packability boundary — the condition that
-// routes exploration to the hashed (sequential) fallback — is defined in
-// exactly one place.
-type packSpec struct {
-	bits  uint // bits per place
-	limit int  // 1 << bits: first count that no longer packs
-}
-
-// packSpecFor returns the layout for a net with the given place count,
-// reporting false when markings cannot pack at all (no places, or more
-// than 16 of them).
-func packSpecFor(places int) (packSpec, bool) {
-	if places < 1 || places > 16 {
-		return packSpec{}, false
-	}
-	bits := uint(64 / places)
-	if bits > 32 {
-		bits = 32 // avoid a 64-bit shift; 2^32 tokens is plenty
-	}
-	return packSpec{bits: bits, limit: 1 << bits}, true
-}
-
-// pack encodes m into a single uint64, reporting false when any count is
-// negative or too wide for the per-place field.
-func (s packSpec) pack(m Marking) (uint64, bool) {
-	var k uint64
-	for _, v := range m {
-		if uint(v) >= uint(s.limit) { // catches negatives too
-			return 0, false
-		}
-		k = k<<s.bits | uint64(v)
-	}
-	return k, true
-}
-
-// unpack decodes k into dst, the inverse of pack for len(dst) places.
-func (s packSpec) unpack(dst Marking, k uint64) {
-	mask := uint64(s.limit - 1)
-	for i := len(dst) - 1; i >= 0; i-- {
-		dst[i] = int(k & mask)
-		k >>= s.bits
-	}
-}
-
 // markingTable maps markings to state indices with open addressing. In
 // packed mode the key slot holds the packed marking itself (unique, so a
 // key match is a state match). After a token count overflows the packed
@@ -106,7 +60,8 @@ func (s packSpec) unpack(dst Marking, k uint64) {
 type markingTable struct {
 	places int
 	packed bool
-	spec   packSpec
+	bits   uint // bits per place in packed mode
+	limit  uint // 1 << bits: first count that no longer packs
 	keys   []uint64
 	idxs   []int32 // state index + 1; 0 marks an empty slot
 	n      int     // occupied slots
@@ -114,7 +69,12 @@ type markingTable struct {
 
 func newMarkingTable(places, hint int) *markingTable {
 	t := &markingTable{places: places}
-	t.spec, t.packed = packSpecFor(places)
+	// Markings pack when the net has 1 to 16 places; the field width is
+	// capped at 32 bits to avoid a 64-bit shift (2^32 tokens is plenty).
+	if places >= 1 && places <= 16 {
+		t.packed, t.bits = true, uint(min(64/places, 32))
+		t.limit = 1 << t.bits
+	}
 	size := 1024
 	for size < 2*hint {
 		size *= 2
@@ -124,10 +84,18 @@ func newMarkingTable(places, hint int) *markingTable {
 	return t
 }
 
-// pack encodes m under the table's layout; false means hash mode is
-// needed.
+// pack encodes m into a single uint64, reporting false (hash mode is
+// needed) when any count is negative or too wide for the per-place field.
 func (t *markingTable) pack(m Marking) (uint64, bool) {
-	return t.spec.pack(m)
+	bits, limit := t.bits, t.limit
+	var k uint64
+	for _, v := range m {
+		if uint(v) >= limit { // catches negatives too
+			return 0, false
+		}
+		k = k<<bits | uint64(v)
+	}
+	return k, true
 }
 
 // mix64 is the splitmix64 finalizer. Probe slots are always derived from

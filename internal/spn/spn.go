@@ -216,26 +216,15 @@ type ExploreOpts struct {
 	MaxStates int
 	// ExpectedStates pre-sizes the state and edge storage (optional hint).
 	ExpectedStates int
-	// Parallelism selects the number of sharded-frontier worker goroutines
-	// (see parallel.go); 0 or 1 runs the sequential explorer. The resulting
-	// Graph is byte-identical for every value — parallelism changes wall
-	// clock only. Nets whose markings do not pack into a uint64 (more than
-	// 16 places, or token counts beyond the per-place field) transparently
-	// fall back to the sequential path.
-	Parallelism int
-	// Replicas optionally provides per-worker copies of the net for
-	// parallel exploration: worker i > 0 uses Replicas[i-1] when present.
-	// Rate and guard functions with unsynchronized internal state (such as
-	// core.Model's memo maps) are only safe to explore in parallel through
-	// replicas; pure functions may share the receiver net.
-	Replicas []*Net
 }
 
 // Explore generates the reachability graph from the initial marking using
 // breadth-first search. It returns an error when the state space exceeds
 // opts.MaxStates, which usually indicates an unbounded or mis-specified
 // net; the bound is checked before each insertion, so no more than
-// MaxStates states are ever materialized.
+// MaxStates states are ever materialized. Explore only reads the net, so
+// a net whose rate and guard functions are pure may be explored from
+// several goroutines at once.
 func (n *Net) Explore(initial Marking, opts ExploreOpts) (*Graph, error) {
 	if len(initial) != len(n.placeNames) {
 		return nil, fmt.Errorf("spn: initial marking has %d places, net has %d", len(initial), len(n.placeNames))
@@ -252,14 +241,6 @@ func (n *Net) Explore(initial Marking, opts ExploreOpts) (*Graph, error) {
 	hint := opts.ExpectedStates
 	if hint <= 0 {
 		hint = 1024
-	}
-	if opts.Parallelism > 1 {
-		g, err := n.exploreParallel(initial, opts, maxStates, hint)
-		if err != errPackFallback {
-			return g, err
-		}
-		// Marking left the packed domain: restart on the sequential path,
-		// whose table handles arbitrary markings via the hashed fallback.
 	}
 	places := len(n.placeNames)
 	g := &Graph{
