@@ -240,7 +240,7 @@ func mustPrepare(n int) (*core.Model, *spn.Graph) {
 
 // kernelWorkloads measures the building blocks of one evaluation at size n:
 // cold exploration across the TIDS grid, generator assembly, generator
-// transposition, and the transient solve.
+// transposition, the transient solve, and one patched point.
 func kernelWorkloads(n int) []Result {
 	cfg := core.DefaultConfig()
 	cfg.N = n
@@ -295,7 +295,37 @@ func kernelWorkloads(n int) []Result {
 		}
 	})
 	rSolve.States = g.NumStates()
-	return []Result{rExplore, rExploreSeq, rAssemble, rTranspose, rSolve}
+	return []Result{rExplore, rExploreSeq, rAssemble, rTranspose, rSolve, reratePatchWorkload(cfg)}
+}
+
+// reratePatchWorkload times one patched point on an incremental session
+// anchored at cfg: a rebuilt model's rates replayed over the shared graph
+// (spn.Graph.Rerate), the generator patched and re-solved, and the Result
+// analysed. Each op moves TIDS to the next value of the paper's grid.
+func reratePatchWorkload(cfg core.Config) Result {
+	donor, err := core.Prepare(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	pd, err := core.NewPreparedDelta(donor)
+	if err != nil {
+		fatal(err)
+	}
+	op := 0
+	r := measure("rerate_patch", cfg.N, func() {
+		c := cfg
+		c.TIDS = core.PaperTIDSGrid[op%len(core.PaperTIDSGrid)]
+		op++
+		p, err := pd.Prepared(c)
+		if err != nil {
+			fatal(err)
+		}
+		if _, err := p.Analyze(); err != nil {
+			fatal(err)
+		}
+	})
+	r.States = donor.Graph.NumStates()
+	return r
 }
 
 // measureSolves wraps measure and annotates the result with per-op solve
@@ -555,7 +585,7 @@ func relDiff(a, b float64) float64 {
 // sensitivityWorkload measures the forward-sensitivity pass at size n: all
 // perturbable parameters differentiated from one prepared model's cached
 // solution and factorization — one extra preconditioned solve (plus two
-// rate-closure rebuilds) per parameter, no re-exploration.
+// perturbed model builds) per parameter, no re-exploration.
 func sensitivityWorkload(n int) Result {
 	cfg := core.DefaultConfig()
 	cfg.N = n

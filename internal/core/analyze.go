@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
+	"repro/internal/linalg"
 	"repro/internal/spn"
-	"repro/internal/voting"
 )
 
 // Result is the full output of one model evaluation.
@@ -90,21 +90,8 @@ func (p *Prepared) analyze() (*Result, error) {
 		return nil, fmt.Errorf("core: non-positive MTTSF %v", res.MTTSF)
 	}
 
-	// Cost rewards per state, then time-average over the mission.
-	rewards := model.costRewards(graph)
-	var acc cost.Breakdown
-	for i, y := range sojourn {
-		if y == 0 {
-			continue
-		}
-		b := rewards[i]
-		acc.GC += y * b.GC
-		acc.Status += y * b.Status
-		acc.Rekey += y * b.Rekey
-		acc.IDS += y * b.IDS
-		acc.Beacon += y * b.Beacon
-		acc.MP += y * b.MP
-	}
+	// Sojourn-weighted cost rewards, then time-average over the mission.
+	acc := model.sojournCost(graph, sojourn)
 	res.CostBreakdown = cost.Breakdown{
 		GC:     acc.GC / res.MTTSF,
 		Status: acc.Status / res.MTTSF,
@@ -139,45 +126,56 @@ func (p *Prepared) analyze() (*Result, error) {
 	return res, nil
 }
 
-// costRewards evaluates the per-state cost breakdown for every state of the
-// reachability graph.
-func (m *Model) costRewards(graph *spn.Graph) []cost.Breakdown {
-	cfg := m.Config
+// sojournCost accumulates Σ_i y_i · cost(i) over the states with nonzero
+// sojourn y_i, in state order. Absorbed (failed) and emptied states accrue
+// no cost and are skipped, so a state's cost is evaluated only where it is
+// transient and visited. Reads the frozen rate-factor tables; allocates
+// nothing.
+func (m *Model) sojournCost(graph *spn.Graph, sojourn linalg.Vector) cost.Breakdown {
+	cfg := &m.Config
 	params := cfg.costParams()
-	detection := cfg.detection()
-	vote := voting.Params{M: cfg.M, P1: cfg.P1, P2: cfg.P2}
-	out := make([]cost.Breakdown, graph.NumStates())
-	for i, mk := range graph.States {
-		if m.Classify(mk) != CauseNone {
-			continue // absorbed states accrue no cost
+	clusterHead := cfg.Protocol == ProtocolClusterHead
+	var acc cost.Breakdown
+	for i, y := range sojourn {
+		if y == 0 {
+			continue
 		}
-		active := m.activeMembers(mk)
-		if active == 0 {
+		mk := graph.States[i]
+		if !m.alive(mk) {
+			continue
+		}
+		tm, ucm := mk[m.tm], mk[m.ucm]
+		if tm+ucm == 0 {
 			continue
 		}
 		groups := mk[m.ng]
 		if groups < 1 {
 			groups = 1
 		}
-		_, _, size := m.perGroup(mk)
-		dRate := m.detectionRate(detection, mk)
+		nGood, nBad, size := m.perGroup(mk)
+		dRate := m.detectionRate(tm, ucm)
 		// Evictions per second feed extra rekeys: the T_IDS and T_FA
 		// flows (plus T_RK drainage in the extended model, which is the
 		// same flow in steady state).
-		pfn, pfp := m.votingProbs(vote, mk)
-		evictRate := float64(mk[m.ucm])*dRate*(1-pfn) + float64(mk[m.tm])*dRate*pfp
-		st := cost.State{
+		pfn, pfp := m.votingProbs(nGood, nBad)
+		evictRate := float64(ucm)*dRate*(1-pfn) + float64(tm)*dRate*pfp
+		b := params.Evaluate(cost.State{
 			GroupSize:         size,
 			Groups:            groups,
 			DetectionRate:     dRate,
 			EvictionRekeyRate: evictRate / float64(groups),
 			PartitionRate:     cfg.PartitionRate,
 			MergeRate:         cfg.MergeRate,
-			ClusterHead:       cfg.Protocol == ProtocolClusterHead,
-		}
-		out[i] = params.Evaluate(st)
+			ClusterHead:       clusterHead,
+		})
+		acc.GC += y * b.GC
+		acc.Status += y * b.Status
+		acc.Rekey += y * b.Rekey
+		acc.IDS += y * b.IDS
+		acc.Beacon += y * b.Beacon
+		acc.MP += y * b.MP
 	}
-	return out
+	return acc
 }
 
 // MTTSFOnly computes just the MTTSF (skipping cost rewards), for tight

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cost"
 	"repro/internal/ctmc"
@@ -151,8 +152,26 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks parameter sanity and returns a descriptive error.
+// Validate checks parameter sanity and returns a descriptive error. Every
+// float field must be finite: a NaN passes every range comparison below,
+// and an infinite rate or interval would switch a mechanism off or on
+// without changing the graph's structure key.
 func (c Config) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"LambdaC", c.LambdaC}, {"TIDS", c.TIDS}, {"ShapeP", c.ShapeP},
+		{"P1", c.P1}, {"P2", c.P2}, {"LambdaQ", c.LambdaQ},
+		{"JoinRate", c.JoinRate}, {"LeaveRate", c.LeaveRate},
+		{"BandwidthBps", c.BandwidthBps},
+		{"PartitionRate", c.PartitionRate}, {"MergeRate", c.MergeRate},
+		{"MeanHops", c.MeanHops}, {"MeanDegree", c.MeanDegree},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s = %v, need a finite value", f.name, f.v)
+		}
+	}
 	switch {
 	case c.N < 2:
 		return fmt.Errorf("core: N = %d, need >= 2", c.N)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/shapes"
@@ -45,6 +46,34 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
 		}
+	}
+}
+
+// TestValidateRejectsNonFinite sets every float64 field of Config, found
+// by reflection so that fields added later are covered too, to NaN and
+// ±Inf in turn: Validate must reject each. Before, a NaN P1 passed every
+// range check and Analyze answered it.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	typ := reflect.TypeOf(Config{})
+	fields := 0
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() != reflect.Float64 {
+			continue
+		}
+		fields++
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			reflect.ValueOf(&cfg).Elem().Field(i).SetFloat(bad)
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", typ.Field(i).Name, bad)
+			}
+			if _, err := Analyze(cfg); err == nil {
+				t.Errorf("%s = %v: Analyze answered", typ.Field(i).Name, bad)
+			}
+		}
+	}
+	if fields == 0 {
+		t.Fatal("no float64 fields found")
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 // the parameter diff cannot change which transitions are enabled in any
 // marking — i.e. it only moves strictly positive rates around. The
 // classifier splits diffs by which Config fields feed *guards and
-// exploration bounds* (structural) versus which only feed *rate and cost
-// closures* (rate-only), with explicit zero-crossing rules for the fields
-// whose rates can vanish:
+// exploration bounds* (structural) versus which only feed *rate values and
+// cost rewards* (rate-only), with explicit zero-crossing rules for the
+// fields whose rates can vanish:
 //
 //   - T_DRQ fires at P1·LambdaQ·mark(UCm): the product's zeroness must be
 //     preserved across the delta.

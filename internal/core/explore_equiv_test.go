@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/shapes"
 	"repro/internal/spn"
 )
 
@@ -20,8 +19,10 @@ type refGraph struct {
 }
 
 // refExplore explores net from m0 using the pre-interning algorithm,
-// driving enabledness and firing through the exported transition structure.
-func refExplore(net *spn.Net, m0 spn.Marking, maxStates int) (*refGraph, error) {
+// firing through the exported transition structure and deciding
+// enabledness and rates through the reference closures (refRates), one
+// transition at a time — never through the net's rate function.
+func refExplore(net *spn.Net, refs []refTransition, m0 spn.Marking, maxStates int) (*refGraph, error) {
 	trans := net.Transitions()
 	g := &refGraph{index: make(map[string]int)}
 	add := func(m spn.Marking) int {
@@ -38,18 +39,8 @@ func refExplore(net *spn.Net, m0 spn.Marking, maxStates int) (*refGraph, error) 
 	for head := 0; head < len(g.states); head++ {
 		m := g.states[head]
 		for ti, t := range trans {
-			enabled := true
-			for _, a := range t.Inputs {
-				if m[a.Place] < a.Weight {
-					enabled = false
-					break
-				}
-			}
-			if !enabled || (t.Guard != nil && !t.Guard(m)) {
-				continue
-			}
-			rate := t.Rate(m)
-			if rate <= 0 {
+			rate, ok := refEnabled(t, refs[ti], m)
+			if !ok {
 				continue
 			}
 			next := m.Clone()
@@ -97,38 +88,12 @@ func absorbingKeys(states []spn.Marking, edges [][]spn.Edge) []string {
 
 // TestExploreMatchesReference asserts that the interned, direct-assembly
 // exploration produces a state space isomorphic to the reference
-// string-keyed path — same state count, same edge multiset (transition,
-// exact rate, endpoint markings), same absorbing set — across a parameter
-// grid of the paper's models.
+// string-keyed path driven by the reference rate closures — same state
+// count, same edge multiset (transition, exact rate, endpoint markings),
+// same absorbing set — across a parameter grid of the paper's models, and
+// that every edge rate is bitwise the reference closure's.
 func TestExploreMatchesReference(t *testing.T) {
-	type variant struct {
-		name string
-		cfg  Config
-	}
-	var grid []variant
-	for _, n := range []int{6, 11, 16} {
-		for _, mg := range []int{1, 3} {
-			for _, det := range []shapes.Kind{shapes.Linear, shapes.Polynomial} {
-				for _, explicit := range []bool{false, true} {
-					cfg := DefaultConfig()
-					cfg.N = n
-					cfg.MaxGroups = mg
-					cfg.Detection = det
-					cfg.ExplicitEviction = explicit
-					grid = append(grid, variant{
-						name: fmt.Sprintf("N%d_g%d_%v_ev%v", n, mg, det, explicit),
-						cfg:  cfg,
-					})
-				}
-			}
-		}
-	}
-	// The cluster-head protocol exercises the other votingProbs branch.
-	ch := DefaultConfig()
-	ch.N = 11
-	ch.Protocol = ProtocolClusterHead
-	grid = append(grid, variant{name: "clusterhead_N11", cfg: ch})
-
+	grid := refExploreGrid()
 	for _, v := range grid {
 		t.Run(v.name, func(t *testing.T) {
 			model, err := BuildModel(v.cfg)
@@ -139,13 +104,12 @@ func TestExploreMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A second model avoids sharing rate memos with the fast run,
-			// so the reference evaluates every rate from scratch.
+			assertEdgesMatchRef(t, got, model)
 			refModel, err := BuildModel(v.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := refExplore(refModel.Net, refModel.Initial, v.cfg.EffectiveMaxStates())
+			want, err := refExplore(refModel.Net, refRates(refModel), refModel.Initial, v.cfg.EffectiveMaxStates())
 			if err != nil {
 				t.Fatal(err)
 			}

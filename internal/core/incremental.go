@@ -36,20 +36,22 @@ var ErrStructuralDelta = errors.New("core: structural config delta; full re-prep
 // Prepared it returns aliases the working arrays: consume it (Analyze,
 // ForwardSensitivities) before the next Prepared call patches under it.
 //
-// The session also carries the voting table from one patched point to the
-// next: Model.votingProbs is a pure function of (Protocol, M, P1, P2) and
-// the per-group composition, so while those four stay fixed — every TIDS
-// sweep, and every run of equal m in a design space — a rebuilt model
-// adopts the previous patched model's voteMemo instead of recomputing the
-// binomial sums. The table never comes from (or goes to) the donor, which
-// the engine may be analysing on another goroutine, so it stays private
-// to the session. detectMemo is never carried: it depends on TIDS.
+// Every patched model reads a voting table someone else filled when it
+// can: Model.votingProbs is a pure function of (Protocol, M, P1, P2) and
+// the per-group composition, so while those four match the donor's —
+// every TIDS sweep, and every run of equal m in a design space — a
+// rebuilt model reads the donor's frozen table (by pointer: no copy, and
+// no lock, since a frozen table is never written again), and otherwise
+// the previous patched model's. Only a point with new voting inputs fills
+// a table, during its Rerate, and freezes it. The detection table depends
+// on TIDS and is never carried.
 type PreparedDelta struct {
 	anchor Config
 	graph  *spn.Graph // CloneForRerate clone sharing the donor's structure
 	pc     *ctmc.PatchedChain
 	prevY  linalg.Vector // previous point's sojourn vector (warm start)
-	model  *Model        // last patched point's model: voting-table donor
+	donor  *Model        // the donor's model, whose voting table Explore froze
+	model  *Model        // last patched point's model
 }
 
 // NewPreparedDelta anchors an incremental session on a fully prepared
@@ -64,7 +66,7 @@ func NewPreparedDelta(donor *Prepared) (*PreparedDelta, error) {
 	if err != nil {
 		return nil, err
 	}
-	pd := &PreparedDelta{anchor: donor.Model.Config, graph: g, pc: pc}
+	pd := &PreparedDelta{anchor: donor.Model.Config, graph: g, pc: pc, donor: donor.Model}
 	if sol, err := donor.Solution(); err == nil {
 		pd.prevY = sol.SojournTimes()
 	}
@@ -73,11 +75,16 @@ func NewPreparedDelta(donor *Prepared) (*PreparedDelta, error) {
 
 // SizeBytes estimates what the session holds privately: the re-rated
 // graph's edge arena, the patched chain's value arrays, Q_TT, factors and
-// scatter maps, and the warm-start vector. The structure it shares with
-// its donor — markings, state table, generator pattern — is the donor's
-// to count (Prepared.SizeBytes).
+// scatter maps, the warm-start vector, and the last patched model's
+// rate-factor tables. The structure it shares with its donor — markings,
+// state table, generator pattern, the voting table — is the donor's to
+// count (Prepared.SizeBytes).
 func (pd *PreparedDelta) SizeBytes() int64 {
-	return pd.graph.EdgeBytes() + pd.pc.SizeBytes() + int64(cap(pd.prevY))*8
+	size := pd.graph.EdgeBytes() + pd.pc.SizeBytes() + int64(cap(pd.prevY))*8
+	if pd.model != nil {
+		size += pd.model.tableBytes(pd.model.vote != pd.donor.vote)
+	}
+	return size
 }
 
 // Prepared evaluates cfg through the patch+re-solve path, returning a
@@ -96,17 +103,20 @@ func (pd *PreparedDelta) Prepared(cfg Config) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if prev := pd.model; prev != nil && sameVoting(prev.Config, cfg) {
-		model.voteMemo = prev.voteMemo
+	if sameVoting(pd.donor.Config, cfg) {
+		model.vote = pd.donor.vote
+	} else if prev := pd.model; prev != nil && sameVoting(prev.Config, cfg) {
+		model.vote = prev.vote
 	}
-	pd.model = model
-	// Swap the rebuilt net's rate closures under the shared graph and
+	// Swap the rebuilt net's rate function under the shared graph and
 	// replay the enabling scan — the ground-truth structural check.
 	pd.graph.Net = model.Net
 	if err := pd.graph.Rerate(); err != nil {
 		structuralRepreps.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrStructuralDelta, err)
 	}
+	model.vote.freeze()
+	pd.model = model
 	if err := pd.pc.PatchRates(pd.graph); err != nil {
 		structuralRepreps.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrStructuralDelta, err)

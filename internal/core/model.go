@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/gdh"
 	"repro/internal/obs"
@@ -25,27 +26,105 @@ type Model struct {
 	Net     *spn.Net
 	Initial spn.Marking
 
-	// place indices, cached for rate closures
+	// place indices, cached for the rate function
 	tm, ucm, dcm, gf, ng int
+	// transition indices in Net.Transitions() order; tRK is -1 in the
+	// compact model
+	tCP, tDRQ, tIDS, tFA, tRK, tPAR, tMER int
 
-	// Rate-evaluation memos. The voting error probabilities depend only on
-	// the per-group composition (nGood, nBad) and the detection rate only
-	// on the live member count, while exploration evaluates them for every
-	// enabled transition of every state — most of which collapse onto few
-	// distinct keys. Both are pure functions of their key, so memoizing
-	// them is exact. The maps are unsynchronized: they are written during
-	// the single-threaded reachability exploration and by costRewards
-	// under Prepared's resultOnce guard; any new post-exploration caller
-	// of votingProbs/detectionRate must serialize the same way.
+	attacker  shapes.Attacker
+	detection shapes.Detection
+	voteP     voting.Params
+
+	// Dense rate-factor tables. The voting error probabilities depend only
+	// on the per-group composition (nGood, nBad) and the detection rate
+	// only on the live member count, so both are pure functions of a
+	// small key and memoizing them is exact. Explore fills them: the rate
+	// function reads both for every live state, and so does every later
+	// pass over the graph (Rerate, the cost pass).
 	//
-	// voteMemo's values also depend on (Protocol, M, P1, P2), never on
-	// TIDS, so a PreparedDelta session hands one table down its chain of
-	// rebuilt models while those four are unchanged. The models sharing a
-	// table are used one at a time on the session's goroutine; a table is
-	// never shared with a model outside its session. detectMemo depends
-	// on TIDS through the detection rate and is never shared.
-	voteMemo   map[uint64][2]float64
-	detectMemo map[int]float64
+	// vote's values also depend on (Protocol, M, P1, P2), never on TIDS.
+	// Explore (or a PreparedDelta's Rerate) freezes it, and from then on
+	// it is read-only and a miss is computed, not stored, so a frozen
+	// table is shared by pointer, without a copy or a lock, with every
+	// model of equal (Protocol, M, P1, P2) that re-rates the same graph:
+	// a PreparedDelta's patched models read their donor's. detect, D(md)
+	// by live count 0..N with NaN marking a slot not filled yet, depends
+	// on TIDS and is never shared.
+	vote   *voteTable
+	detect []float64
+}
+
+// votePair is one group composition's voting error probabilities.
+type votePair struct{ pfn, pfp float64 }
+
+// voteTable holds votingProbs by composition, rows[nGood][nBad], each row
+// only as long as the largest nBad reached with that nGood. A slot whose
+// pfn is NaN is not filled yet.
+type voteTable struct {
+	rows   [][]votePair
+	frozen bool
+}
+
+func (t *voteTable) get(nGood, nBad int) (votePair, bool) {
+	if nGood < len(t.rows) {
+		if row := t.rows[nGood]; nBad < len(row) {
+			if p := row[nBad]; !math.IsNaN(p.pfn) {
+				return p, true
+			}
+		}
+	}
+	return votePair{}, false
+}
+
+func (t *voteTable) put(nGood, nBad int, p votePair) {
+	if t.frozen {
+		return
+	}
+	for len(t.rows) <= nGood {
+		t.rows = append(t.rows, nil)
+	}
+	row := t.rows[nGood]
+	if row == nil {
+		// A live group holds at most about half as many compromised
+		// members as trusted ones (the C2 condition), so this capacity
+		// usually holds the whole row.
+		row = make([]votePair, 0, nGood/2+2)
+	}
+	for len(row) <= nBad {
+		row = append(row, votePair{pfn: math.NaN()})
+	}
+	row[nBad] = p
+	t.rows[nGood] = row
+}
+
+// freeze makes the table read-only, repacking its rows into one array
+// sized to the keys reached.
+func (t *voteTable) freeze() {
+	if t.frozen {
+		return
+	}
+	total := 0
+	for _, row := range t.rows {
+		total += len(row)
+	}
+	flat := make([]votePair, 0, total)
+	for i, row := range t.rows {
+		start := len(flat)
+		flat = append(flat, row...)
+		t.rows[i] = flat[start:len(flat):len(flat)]
+	}
+	t.rows = t.rows[:len(t.rows):len(t.rows)]
+	t.frozen = true
+}
+
+func (t *voteTable) sizeBytes() int64 {
+	const header, pair = 24, 16
+	size := int64(cap(t.rows)) * header
+	for _, row := range t.rows {
+		size += int64(cap(row)) * pair
+	}
+	return size
 }
 
 // BuildModel constructs the Figure 1 SPN under the given configuration.
@@ -54,16 +133,24 @@ type Model struct {
 // directly (eviction and its rekey complete within one transition), so the
 // places are {Tm, UCm, GF, NG}. Extended model (ExplicitEviction): detected
 // nodes first move to DCm and leave through T_RK at rate mark(DCm)/Tcm,
-// matching the figure literally.
+// matching the figure literally. Every transition's rate comes from one
+// per-state function, Model.rates.
 func BuildModel(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	m := &Model{
-		Config:     cfg,
-		Net:        spn.New(),
-		voteMemo:   make(map[uint64][2]float64),
-		detectMemo: make(map[int]float64),
+		Config:    cfg,
+		Net:       spn.New(),
+		attacker:  cfg.attacker(),
+		detection: cfg.detection(),
+		voteP:     voting.Params{M: cfg.M, P1: cfg.P1, P2: cfg.P2},
+		vote:      &voteTable{},
+		detect:    make([]float64, cfg.N+1),
+		tRK:       -1,
+	}
+	for i := range m.detect {
+		m.detect[i] = math.NaN()
 	}
 	m.tm = m.Net.AddPlace(placeTm)
 	m.ucm = m.Net.AddPlace(placeUCm)
@@ -75,115 +162,119 @@ func BuildModel(cfg Config) (*Model, error) {
 	m.gf = m.Net.AddPlace(placeGF)
 	m.ng = m.Net.AddPlace(placeNG)
 
-	alive := m.aliveGuard()
-	attacker := cfg.attacker()
-	detection := cfg.detection()
-	vote := voting.Params{M: cfg.M, P1: cfg.P1, P2: cfg.P2}
-
-	// T_CP: a trusted member becomes compromised at the attacker rate
-	// A(mc) with mc = (Tm + UCm)/Tm.
-	m.Net.MustAddTransition(&spn.Transition{
+	added := 0
+	add := func(t *spn.Transition) int {
+		m.Net.MustAddTransition(t)
+		added++
+		return added - 1
+	}
+	// T_CP: a trusted member becomes compromised.
+	m.tCP = add(&spn.Transition{
 		Name:    "T_CP",
 		Inputs:  []spn.Arc{{Place: m.tm, Weight: 1}},
 		Outputs: []spn.Arc{{Place: m.ucm, Weight: 1}},
-		Guard:   alive,
-		Rate: func(mk spn.Marking) float64 {
-			return attacker.Rate(shapes.Pressure(mk[m.tm], mk[m.ucm]))
-		},
 	})
-
 	// T_DRQ: a compromised, undetected member obtains data using the
-	// group key — the C1 security failure. Each such member requests data
-	// at rate LambdaQ and succeeds unless host IDS flags it, hence the
-	// p1 factor (Section 4's rate p1*λq*mark(UCm)).
-	m.Net.MustAddTransition(&spn.Transition{
+	// group key — the C1 security failure.
+	m.tDRQ = add(&spn.Transition{
 		Name:    "T_DRQ",
 		Inputs:  []spn.Arc{{Place: m.ucm, Weight: 1}},
 		Outputs: []spn.Arc{{Place: m.gf, Weight: 1}},
-		Guard:   alive,
-		Rate: func(mk spn.Marking) float64 {
-			return cfg.P1 * cfg.LambdaQ * float64(mk[m.ucm])
-		},
 	})
-
-	// T_IDS: voting-based IDS detects a compromised member; rate
-	// mark(UCm) * D(md) * (1 - Pfn).
-	idsOutputs := []spn.Arc(nil)
+	// T_IDS: voting-based IDS detects a compromised member. T_FA: it
+	// falsely evicts a trusted member. In the extended model both move
+	// the node to DCm.
+	var evictOutputs []spn.Arc
 	if cfg.ExplicitEviction {
-		idsOutputs = []spn.Arc{{Place: m.dcm, Weight: 1}}
+		evictOutputs = []spn.Arc{{Place: m.dcm, Weight: 1}}
 	}
-	m.Net.MustAddTransition(&spn.Transition{
+	m.tIDS = add(&spn.Transition{
 		Name:    "T_IDS",
 		Inputs:  []spn.Arc{{Place: m.ucm, Weight: 1}},
-		Outputs: idsOutputs,
-		Guard:   alive,
-		Rate: func(mk spn.Marking) float64 {
-			pfn, _ := m.votingProbs(vote, mk)
-			return float64(mk[m.ucm]) * m.detectionRate(detection, mk) * (1 - pfn)
-		},
+		Outputs: evictOutputs,
 	})
-
-	// T_FA: voting-based IDS falsely evicts a trusted member; rate
-	// mark(Tm) * D(md) * Pfp.
-	faOutputs := []spn.Arc(nil)
-	if cfg.ExplicitEviction {
-		faOutputs = []spn.Arc{{Place: m.dcm, Weight: 1}}
-	}
-	m.Net.MustAddTransition(&spn.Transition{
+	m.tFA = add(&spn.Transition{
 		Name:    "T_FA",
 		Inputs:  []spn.Arc{{Place: m.tm, Weight: 1}},
-		Outputs: faOutputs,
-		Guard:   alive,
-		Rate: func(mk spn.Marking) float64 {
-			_, pfp := m.votingProbs(vote, mk)
-			return float64(mk[m.tm]) * m.detectionRate(detection, mk) * pfp
-		},
+		Outputs: evictOutputs,
 	})
-
 	if cfg.ExplicitEviction {
-		// T_RK: the rekeying that completes an eviction. Each detected
-		// node leaves after an exponential Tcm delay.
-		m.Net.MustAddTransition(&spn.Transition{
+		// T_RK: the rekeying that completes an eviction.
+		m.tRK = add(&spn.Transition{
 			Name:   "T_RK",
 			Inputs: []spn.Arc{{Place: m.dcm, Weight: 1}},
-			Guard:  alive,
-			Rate: func(mk spn.Marking) float64 {
-				return float64(mk[m.dcm]) / m.rekeyTime(mk)
-			},
 		})
 	}
-
 	// T_PAR / T_MER: group partitioning and merging as a birth-death
-	// process with rates calibrated from mobility simulation. Partitions
-	// require at least two nodes per resulting group.
-	m.Net.MustAddTransition(&spn.Transition{
+	// process with rates calibrated from mobility simulation.
+	m.tPAR = add(&spn.Transition{
 		Name:    "T_PAR",
 		Inputs:  []spn.Arc{{Place: m.ng, Weight: 1}},
 		Outputs: []spn.Arc{{Place: m.ng, Weight: 2}},
-		Guard: func(mk spn.Marking) bool {
-			if !alive(mk) || mk[m.ng] >= cfg.MaxGroups {
-				return false
-			}
-			return m.activeMembers(mk) >= 2*(mk[m.ng]+1)
-		},
-		Rate: func(mk spn.Marking) float64 { return cfg.PartitionRate },
 	})
-	m.Net.MustAddTransition(&spn.Transition{
-		Name:   "T_MER",
-		Inputs: []spn.Arc{{Place: m.ng, Weight: 2}},
-		Outputs: []spn.Arc{
-			{Place: m.ng, Weight: 1},
-		},
-		Guard: alive,
-		Rate: func(mk spn.Marking) float64 {
-			// Death rate proportional to the number of extra groups:
-			// more fragments find each other faster.
-			return cfg.MergeRate * float64(mk[m.ng]-1)
-		},
+	m.tMER = add(&spn.Transition{
+		Name:    "T_MER",
+		Inputs:  []spn.Arc{{Place: m.ng, Weight: 2}},
+		Outputs: []spn.Arc{{Place: m.ng, Weight: 1}},
 	})
+	m.Net.SetRates(m.rates)
 
 	m.Initial = m.initialMarking()
 	return m, nil
+}
+
+// rates is the net's rate function: every transition's rate in mk, with
+// the alive test, the group split, D(md) and (Pfn, Pfp) each evaluated
+// once for the state. A failed state (C1 or C2) disables everything,
+// which makes it absorbing — the paper's construction of MTTSF as mean
+// time to absorption. A transition whose input arcs are unsatisfied may
+// be left at 0: the enabling scan disables it either way.
+func (m *Model) rates(mk spn.Marking, out []float64) {
+	clear(out)
+	if !m.alive(mk) {
+		return
+	}
+	cfg := &m.Config
+	tm, ucm := mk[m.tm], mk[m.ucm]
+	active := tm + ucm
+	// T_CP fires at the attacker rate A(mc), mc = (Tm + UCm)/Tm.
+	if tm > 0 {
+		out[m.tCP] = m.attacker.Rate(shapes.Pressure(tm, ucm))
+	}
+	// T_DRQ: each compromised member requests data at rate LambdaQ and
+	// succeeds unless host IDS flags it, hence Section 4's
+	// p1*λq*mark(UCm).
+	out[m.tDRQ] = cfg.P1 * cfg.LambdaQ * float64(ucm)
+	if active > 0 {
+		// T_IDS at mark(UCm)*D(md)*(1-Pfn), T_FA at mark(Tm)*D(md)*Pfp.
+		nGood, nBad, _ := m.perGroup(mk)
+		d := m.detectionRate(tm, ucm)
+		pfn, pfp := m.votingProbs(nGood, nBad)
+		out[m.tIDS] = float64(ucm) * d * (1 - pfn)
+		out[m.tFA] = float64(tm) * d * pfp
+	}
+	// T_RK: each detected node leaves after an exponential Tcm delay.
+	if m.tRK >= 0 && mk[m.dcm] > 0 {
+		out[m.tRK] = float64(mk[m.dcm]) / m.rekeyTime(mk)
+	}
+	// A partition needs at least two live nodes per resulting group; the
+	// merge rate is proportional to the number of extra groups, since
+	// more fragments find each other faster.
+	ng := mk[m.ng]
+	if ng < cfg.MaxGroups && active >= 2*(ng+1) {
+		out[m.tPAR] = cfg.PartitionRate
+	}
+	out[m.tMER] = cfg.MergeRate * float64(ng-1)
+}
+
+// tableBytes reports the bytes of the model's rate-factor tables;
+// withVote says whether to count the voting table, which may be shared.
+func (m *Model) tableBytes(withVote bool) int64 {
+	size := int64(cap(m.detect)) * 8
+	if withVote {
+		size += m.vote.sizeBytes()
+	}
+	return size
 }
 
 func (m *Model) initialMarking() spn.Marking {
@@ -198,22 +289,15 @@ func (m *Model) activeMembers(mk spn.Marking) int {
 	return mk[m.tm] + mk[m.ucm]
 }
 
-// aliveGuard returns the enabling predicate shared by every transition:
-// false once either security failure condition holds, which freezes the
-// net and makes the state absorbing (the paper's construction of MTTSF as
-// mean time to absorption).
-func (m *Model) aliveGuard() spn.GuardFunc {
-	return func(mk spn.Marking) bool {
-		if mk[m.gf] > 0 {
-			return false // C1: data leaked
-		}
-		// C2: more than 1/3 of members compromised-undetected:
-		// UCm/(Tm+UCm) > 1/3  <=>  2*UCm > Tm.
-		if 2*mk[m.ucm] > mk[m.tm] {
-			return false
-		}
-		return true
+// alive reports whether no security failure condition holds in mk; a
+// failed state is absorbing.
+func (m *Model) alive(mk spn.Marking) bool {
+	if mk[m.gf] > 0 {
+		return false // C1: data leaked
 	}
+	// C2: more than 1/3 of members compromised-undetected:
+	// UCm/(Tm+UCm) > 1/3  <=>  2*UCm > Tm.
+	return 2*mk[m.ucm] <= mk[m.tm]
 }
 
 // FailureCause labels an absorbing state.
@@ -277,34 +361,32 @@ func roundDiv(a, b int) int {
 	return (a + b/2) / b
 }
 
-// votingProbs evaluates the detection error probabilities for the group
-// composition of a marking: Equation 1 for the voting protocol, or the
+// votingProbs evaluates the detection error probabilities for one
+// group's composition: Equation 1 for the voting protocol, or the
 // cluster-head closed form for the related-work comparator.
-func (m *Model) votingProbs(vote voting.Params, mk spn.Marking) (pfn, pfp float64) {
-	nGood, nBad, _ := m.perGroup(mk)
-	key := uint64(uint32(nGood))<<32 | uint64(uint32(nBad))
-	if p, ok := m.voteMemo[key]; ok {
-		return p[0], p[1]
+func (m *Model) votingProbs(nGood, nBad int) (pfn, pfp float64) {
+	if p, ok := m.vote.get(nGood, nBad); ok {
+		return p.pfn, p.pfp
 	}
 	if m.Config.Protocol == ProtocolClusterHead {
-		pfn = voting.ClusterHeadFalseNegative(nGood, nBad, vote.P1)
-		pfp = voting.ClusterHeadFalsePositive(nGood, nBad, vote.P2)
+		pfn = voting.ClusterHeadFalseNegative(nGood, nBad, m.voteP.P1)
+		pfp = voting.ClusterHeadFalsePositive(nGood, nBad, m.voteP.P2)
 	} else {
-		pfn, pfp = vote.Probabilities(nGood, nBad)
+		pfn, pfp = m.voteP.Probabilities(nGood, nBad)
 	}
-	m.voteMemo[key] = [2]float64{pfn, pfp}
+	m.vote.put(nGood, nBad, votePair{pfn, pfp})
 	return pfn, pfp
 }
 
 // detectionRate evaluates D(md) with md = Ninit/(Tm + UCm), memoized on the
 // live member count Tm + UCm.
-func (m *Model) detectionRate(d shapes.Detection, mk spn.Marking) float64 {
-	active := mk[m.tm] + mk[m.ucm]
-	if r, ok := m.detectMemo[active]; ok {
+func (m *Model) detectionRate(tm, ucm int) float64 {
+	active := tm + ucm
+	if r := m.detect[active]; !math.IsNaN(r) {
 		return r
 	}
-	r := d.Rate(shapes.EvictionPressure(m.Config.N, mk[m.tm], mk[m.ucm]))
-	m.detectMemo[active] = r
+	r := m.detection.Rate(shapes.EvictionPressure(m.Config.N, tm, ucm))
+	m.detect[active] = r
 	return r
 }
 
@@ -330,8 +412,10 @@ func (m *Model) rekeyTime(mk spn.Marking) float64 {
 
 // Explore generates the reachability graph of the model, pre-sizing the
 // exploration from the token-count bounds of the Figure 1 net: Tm ≤ N,
-// UCm ≲ Tm/2 (the C2 guard), NG ≤ MaxGroups, and — in the extended model —
-// a DCm axis that multiplies the space by roughly N/2.
+// UCm ≲ Tm/2 (the C2 condition), NG ≤ MaxGroups, and — in the extended
+// model — a DCm axis that multiplies the space by roughly N/2. The rate
+// function reads both rate-factor tables on every live state, so they
+// hold every key the graph needs when Explore freezes the voting table.
 func (m *Model) Explore() (*spn.Graph, error) {
 	sp := obs.StartStage(obs.StageExplore)
 	defer sp.End()
@@ -344,5 +428,10 @@ func (m *Model) Explore() (*spn.Graph, error) {
 	if hint > maxStates {
 		hint = maxStates
 	}
-	return m.Net.Explore(m.Initial, spn.ExploreOpts{MaxStates: maxStates, ExpectedStates: hint})
+	g, err := m.Net.Explore(m.Initial, spn.ExploreOpts{MaxStates: maxStates, ExpectedStates: hint})
+	if err != nil {
+		return nil, err
+	}
+	m.vote.freeze()
+	return g, nil
 }

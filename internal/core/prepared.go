@@ -62,11 +62,13 @@ func Prepare(cfg Config) (*Prepared, error) {
 // SizeBytes estimates the resident footprint of the prepared model once
 // solved: the reachability graph (spn.Graph.SizeBytes, from its arrays'
 // capacities), the CTMC with the solve state its first solve builds
-// (ctmc.Chain.SizeBytes: Q_TT^T and the block-triangular factors), and
-// the sojourn vector. It holds before the solve too, so the evaluation
-// engine can charge a model to its byte-budgeted LRU when it caches it.
+// (ctmc.Chain.SizeBytes: Q_TT^T and the block-triangular factors), the
+// sojourn vector, and the model's rate-factor tables. It holds before the
+// solve too, so the evaluation engine can charge a model to its
+// byte-budgeted LRU when it caches it.
 func (p *Prepared) SizeBytes() int64 {
-	return p.Graph.SizeBytes() + p.Chain.SizeBytes() + int64(p.Graph.NumStates())*8
+	return p.Graph.SizeBytes() + p.Chain.SizeBytes() + int64(p.Graph.NumStates())*8 +
+		p.Model.tableBytes(true)
 }
 
 // Solution returns the sojourn-time solve for the initial marking,

@@ -16,9 +16,10 @@ import (
 // — one extra linear solve per parameter on the *same* matrix, cached
 // sub-generator transpose, and (frozen) ILU(0) factors as the sojourn
 // solve itself. ∂A/∂θ is assembled edge-wise: each reachability edge's
-// rate is a smooth closure of θ, differentiated by central differences of
-// the rate closures of two perturbed model builds (no re-exploration — the
-// graph is structurally invariant under a rate-only perturbation).
+// rate is a smooth function of θ, differentiated by central differences of
+// the rates of two perturbed model builds, one rate-function call per
+// state each (no re-exploration — the graph is structurally invariant
+// under a rate-only perturbation).
 // dMTTSF/dθ is then the sum of ∂y/∂θ, exactly as MTTSF is the sum of y.
 
 // ParamSensitivity is one parameter's forward sensitivity: the derivative
@@ -47,7 +48,7 @@ func SensitivityParams() []string {
 }
 
 // sensFDRel is the relative step of the central difference that
-// differentiates the edge-rate closures. Rates are smooth (piecewise
+// differentiates the edge rates. Rates are smooth (piecewise
 // analytic) in every perturbable parameter, so truncation error is
 // O(h²) ≈ 1e-12 relative while float64 roundoff stays near 1e-10 —
 // both far below the gradients' use in search and reporting.
@@ -121,26 +122,28 @@ func perturbableByKey(key string) (*perturbableParam, error) {
 }
 
 // forwardSolve assembles the forward right-hand side -(∂A/∂θ)·y edge-wise
-// from the two perturbed models' rate closures (span is the full step
-// between them) and solves the directional system on p's cached chain.
+// from the two perturbed models' rates (span is the full step between
+// them) and solves the directional system on p's cached chain.
 func (p *Prepared) forwardSolve(y linalg.Vector, mUp, mDown *Model, span float64) (linalg.Vector, error) {
 	g, c := p.Graph, p.Chain
-	transUp := mUp.Net.Transitions()
-	transDown := mDown.Net.Transitions()
-	if len(transUp) != len(transDown) || g.Net.NumPlaces() != mUp.Net.NumPlaces() {
+	nt := len(mUp.Net.Transitions())
+	if nt != len(mDown.Net.Transitions()) || g.Net.NumPlaces() != mUp.Net.NumPlaces() {
 		return nil, fmt.Errorf("core: perturbed models differ structurally")
 	}
+	up, down := make([]float64, nt), make([]float64, nt)
 	rhs := linalg.NewVector(c.NumStates())
 	for j, mk := range g.States {
 		yj := y[j]
 		if yj == 0 || c.IsAbsorbing(j) {
 			continue
 		}
+		mUp.rates(mk, up)
+		mDown.rates(mk, down)
 		for _, e := range g.Edges[j] {
 			if e.To == j {
 				continue
 			}
-			dr := (transUp[e.Transition].Rate(mk) - transDown[e.Transition].Rate(mk)) / span
+			dr := (up[e.Transition] - down[e.Transition]) / span
 			if dr == 0 {
 				continue
 			}

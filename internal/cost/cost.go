@@ -11,7 +11,10 @@
 // bandwidth gives the channel utilization that bounds per-packet delay.
 package cost
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Params are the static traffic parameters of the cost model. All sizes
 // are in bits, all rates in events per second.
@@ -67,8 +70,23 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate checks the parameters.
+// Validate checks the parameters. Every float field must be finite: a NaN
+// passes every range comparison below.
 func (p Params) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"PacketBits", p.PacketBits}, {"StatusBits", p.StatusBits},
+		{"StatusRate", p.StatusRate}, {"VoteBits", p.VoteBits},
+		{"BeaconBits", p.BeaconBits}, {"BeaconRate", p.BeaconRate},
+		{"MeanHops", p.MeanHops}, {"MeanDegree", p.MeanDegree},
+		{"LambdaQ", p.LambdaQ}, {"JoinRate", p.JoinRate}, {"LeaveRate", p.LeaveRate},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("cost: %s = %v, need a finite value", f.name, f.v)
+		}
+	}
 	switch {
 	case p.PacketBits <= 0, p.StatusBits < 0, p.VoteBits < 0, p.BeaconBits < 0:
 		return fmt.Errorf("cost: non-positive message size in %+v", p)

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -30,6 +31,30 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+}
+
+// TestValidateRejectsNonFinite sets every float64 field of Params, found
+// by reflection so that fields added later are covered too, to NaN and
+// ±Inf in turn: Validate must reject each.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	typ := reflect.TypeOf(Params{})
+	fields := 0
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() != reflect.Float64 {
+			continue
+		}
+		fields++
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := DefaultParams()
+			reflect.ValueOf(&p).Elem().Field(i).SetFloat(bad)
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", typ.Field(i).Name, bad)
+			}
+		}
+	}
+	if fields == 0 {
+		t.Fatal("no float64 fields found")
 	}
 }
 

@@ -248,8 +248,8 @@ func TestFromGraphDrainNet(t *testing.T) {
 		Name:    "drain",
 		Inputs:  []spn.Arc{{Place: a, Weight: 1}},
 		Outputs: []spn.Arc{{Place: bp, Weight: 1}},
-		Rate:    func(m spn.Marking) float64 { return 1.5 * float64(m[a]) },
 	})
+	n.SetRates(func(m spn.Marking, out []float64) { out[0] = 1.5 * float64(m[a]) })
 	g, err := n.Explore(spn.Marking{4, 0}, spn.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -277,14 +277,13 @@ func TestFromGraphSelfLoopIgnored(t *testing.T) {
 		Name:    "churn",
 		Inputs:  []spn.Arc{{Place: p, Weight: 1}},
 		Outputs: []spn.Arc{{Place: p, Weight: 1}},
-		Rate:    func(m spn.Marking) float64 { return 100 },
 	})
 	n.MustAddTransition(&spn.Transition{
 		Name:    "exit",
 		Inputs:  []spn.Arc{{Place: p, Weight: 1}},
 		Outputs: []spn.Arc{{Place: q, Weight: 1}},
-		Rate:    func(m spn.Marking) float64 { return 0.5 },
 	})
+	n.SetRates(func(m spn.Marking, out []float64) { out[0], out[1] = 100, 0.5 })
 	g, err := n.Explore(spn.Marking{1, 0}, spn.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -306,8 +305,8 @@ func TestFromGraphOnlySelfLoopsIsAbsorbing(t *testing.T) {
 		Name:    "loop",
 		Inputs:  []spn.Arc{{Place: p, Weight: 1}},
 		Outputs: []spn.Arc{{Place: p, Weight: 1}},
-		Rate:    func(m spn.Marking) float64 { return 3 },
 	})
+	n.SetRates(func(m spn.Marking, out []float64) { out[0] = 3 })
 	g, err := n.Explore(spn.Marking{1}, spn.ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)

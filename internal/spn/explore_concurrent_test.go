@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// tokenRing builds a bounded net with pure (concurrency-safe) closures: cap
-// tokens circulate over `places` places, one transition per ordered pair of
-// adjacent places plus a consuming sink, giving a state space that spans
-// several BFS levels.
+// tokenRing builds a bounded net with a pure (concurrency-safe) rate
+// function: cap tokens circulate over `places` places, one transition per
+// ordered pair of adjacent places plus a consuming sink, giving a state
+// space that spans several BFS levels.
 func tokenRing(places, cap int) (*Net, Marking) {
 	n := New()
 	for i := 0; i < places; i++ {
@@ -17,14 +17,10 @@ func tokenRing(places, cap int) (*Net, Marking) {
 	}
 	for i := 0; i < places; i++ {
 		from, to := i, (i+1)%places
-		rate := 0.5 + float64(i)
 		n.MustAddTransition(&Transition{
 			Name:    fmt.Sprintf("t%d", i),
 			Inputs:  []Arc{{Place: from, Weight: 1}},
 			Outputs: []Arc{{Place: to, Weight: 1}},
-			Rate: func(m Marking) float64 {
-				return rate * float64(m[from])
-			},
 		})
 	}
 	// A consuming transition makes some states absorbing-reachable and
@@ -32,9 +28,12 @@ func tokenRing(places, cap int) (*Net, Marking) {
 	n.MustAddTransition(&Transition{
 		Name:   "sink",
 		Inputs: []Arc{{Place: 0, Weight: 2}},
-		Rate: func(m Marking) float64 {
-			return 0.25 * float64(m[0])
-		},
+	})
+	n.SetRates(func(m Marking, out []float64) {
+		for i := 0; i < places; i++ {
+			out[i] = (0.5 + float64(i)) * float64(m[i])
+		}
+		out[places] = 0.25 * float64(m[0])
 	})
 	m0 := make(Marking, places)
 	m0[0] = cap
@@ -68,7 +67,7 @@ func graphsIdentical(t *testing.T, want, got *Graph) {
 }
 
 // TestExploreParallelDeterministic pins that Explore only reads its net:
-// P goroutines exploring one net (pure rate closures) at the same time
+// P goroutines exploring one net (a pure rate function) at the same time
 // each get the graph a lone exploration builds. The race job runs it too.
 func TestExploreParallelDeterministic(t *testing.T) {
 	net, m0 := tokenRing(5, 6)

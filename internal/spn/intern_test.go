@@ -14,8 +14,8 @@ func buildCounterNet(n int) (*Net, Marking) {
 	net.MustAddTransition(&Transition{
 		Name:   "consume",
 		Inputs: []Arc{{Place: p, Weight: 1}},
-		Rate:   func(m Marking) float64 { return float64(m[p]) },
 	})
+	net.SetRates(func(m Marking, out []float64) { out[0] = float64(m[p]) })
 	return net, Marking{n}
 }
 
@@ -80,8 +80,8 @@ func TestMarkingTablePackedFallback(t *testing.T) {
 		Name:    "shift",
 		Inputs:  []Arc{{Place: idx[0], Weight: 5}},
 		Outputs: []Arc{{Place: idx[1], Weight: 5}},
-		Rate:    func(m Marking) float64 { return 1 },
 	})
+	net.SetRates(func(m Marking, out []float64) { out[0] = 1 })
 	m0 := make(Marking, places)
 	m0[0] = 30
 	g, err := net.Explore(m0, ExploreOpts{})

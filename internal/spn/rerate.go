@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// Value-only re-rating: a rebuilt Net whose guard structure matches the one
-// a Graph was explored under induces the *same* reachability graph with
+// Value-only re-rating: a rebuilt Net whose enabling structure matches the
+// one a Graph was explored under induces the *same* reachability graph with
 // different edge rates. CloneForRerate + Rerate exploit that: the expensive
 // immutable structure (interned states, marking table, edge topology) is
 // shared, only the rate values are rewritten in place. This is the graph
@@ -53,25 +53,39 @@ func (g *Graph) CloneForRerate(net *Net) (*Graph, error) {
 }
 
 // Rerate replays Explore's per-state enabling scan under the current g.Net
-// and rewrites every edge's Rate in place. It verifies — state by state,
-// edge by edge — that the enabled-transition sequence is identical to the
-// one the graph holds; any mismatch (a transition newly enabled, newly
-// disabled, or reordered) returns ErrStructureChanged with the graph's
-// rates left in a partially updated state the caller must discard.
+// — one rate-function call per state — and rewrites every edge's Rate in
+// place. It verifies, state by state and edge by edge, that the
+// enabled-transition sequence is identical to the one the graph holds; any
+// mismatch (a transition newly enabled, newly disabled, or reordered)
+// returns ErrStructureChanged, and a non-finite rate returns an error
+// naming the state and the transition. Either way the graph's rates are
+// left partially updated and the caller must discard them. Once the rate
+// scratch is sized, a Rerate allocates nothing.
 //
 // Successor states are not recomputed: firing depends only on arc
 // structure, which an identically shaped net reproduces, and a net whose
 // arcs differ cannot match the per-state transition sequence of the
-// original exploration anyway (the guard/token scan would diverge first or
+// original exploration anyway (the rate/token scan would diverge first or
 // the rates would be wrong in ways the solver-level equivalence tests
 // catch).
 func (g *Graph) Rerate() error {
 	n := g.Net
+	if n.rates == nil {
+		return fmt.Errorf("spn: net has no rate function")
+	}
+	if len(g.rates) != len(n.trans) {
+		g.rates = make([]float64, len(n.trans))
+	}
+	rates := g.rates
 	for si, m := range g.States {
+		n.rates(m, rates)
 		edges := g.Edges[si]
 		k := 0
 		for ti, t := range n.trans {
-			rate, ok := n.enabled(t, m)
+			ok, finite := enabled(t, rates[ti], m)
+			if !finite {
+				return n.rateError(si, ti, rates[ti], m)
+			}
 			if !ok {
 				continue
 			}
@@ -79,7 +93,7 @@ func (g *Graph) Rerate() error {
 				return fmt.Errorf("%w (state %d, transition %q newly enabled)",
 					ErrStructureChanged, si, t.Name)
 			}
-			edges[k].Rate = rate
+			edges[k].Rate = rates[ti]
 			k++
 		}
 		if k != len(edges) {

@@ -1,18 +1,21 @@
 // Package spn implements a Stochastic Petri Net modeling engine: places,
-// timed transitions with marking-dependent rates and enabling guard
-// functions, and reachability-graph generation. The reachability graph of a
-// bounded SPN, together with the exponential firing rates, defines a
-// continuous-time Markov chain that package ctmc solves.
+// timed transitions with marking-dependent rates, and reachability-graph
+// generation. The reachability graph of a bounded SPN, together with the
+// exponential firing rates, defines a continuous-time Markov chain that
+// package ctmc solves.
 //
 // The engine reproduces the modeling features the paper's SPN (Figure 1)
-// needs: guard functions that disable every transition once a failure
-// condition holds (creating absorbing states), marking-dependent rates such
-// as mark(UCm)*D(md)*(1-Pfn), and small auxiliary places such as the group
-// counter NG.
+// needs: marking-dependent rates such as mark(UCm)*D(md)*(1-Pfn), a rate of
+// zero that disables every transition once a failure condition holds
+// (creating absorbing states), and small auxiliary places such as the group
+// counter NG. A net has one rate function that fills every transition's
+// rate for a marking in one call, so the factors transitions share (the
+// group composition, the detection rate) are computed once per state.
 package spn
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,20 +61,19 @@ type Arc struct {
 	Weight int // tokens consumed/produced; must be >= 1
 }
 
-// RateFunc returns the (exponential) firing rate of a transition in the
-// given marking. A non-positive return value disables the transition.
-type RateFunc func(m Marking) float64
+// RatesFunc writes the (exponential) firing rate of every transition in
+// marking m into out, indexed like Transitions(); it must write every
+// slot. A transition is enabled in m when its input arcs are satisfied and
+// its rate is > 0, so a rate of 0 (or below) is how a guard disables one.
+// A NaN or infinite rate is an error that Explore and Rerate report.
+type RatesFunc func(m Marking, out []float64)
 
-// GuardFunc is an additional enabling predicate evaluated on the marking.
-type GuardFunc func(m Marking) bool
-
-// Transition is a timed SPN transition.
+// Transition is a timed SPN transition: its arcs. Its rate comes from the
+// net's RatesFunc.
 type Transition struct {
 	Name    string
 	Inputs  []Arc
 	Outputs []Arc
-	Rate    RateFunc
-	Guard   GuardFunc // nil means always enabled (subject to tokens)
 }
 
 // Net is a Stochastic Petri Net under construction.
@@ -79,6 +81,7 @@ type Net struct {
 	placeNames []string
 	placeIdx   map[string]int
 	trans      []*Transition
+	rates      RatesFunc
 }
 
 // New returns an empty net.
@@ -119,13 +122,10 @@ func (n *Net) PlaceNames() []string {
 }
 
 // AddTransition registers a transition. Inputs/Outputs with zero weight are
-// rejected. The rate function is mandatory.
+// rejected.
 func (n *Net) AddTransition(t *Transition) error {
 	if t.Name == "" {
 		return fmt.Errorf("spn: transition must be named")
-	}
-	if t.Rate == nil {
-		return fmt.Errorf("spn: transition %q has no rate function", t.Name)
 	}
 	for _, a := range append(append([]Arc{}, t.Inputs...), t.Outputs...) {
 		if a.Place < 0 || a.Place >= len(n.placeNames) {
@@ -154,21 +154,32 @@ func (n *Net) Transitions() []*Transition {
 	return out
 }
 
-// enabled reports whether t may fire in m and, if so, its rate.
-func (n *Net) enabled(t *Transition, m Marking) (float64, bool) {
+// SetRates installs the net's rate function, which Explore and Rerate call
+// once per state.
+func (n *Net) SetRates(f RatesFunc) { n.rates = f }
+
+// enabled reports whether transition t, whose rate in m is r, may fire:
+// r > 0 and its input arcs are satisfied. finite is false when r is NaN
+// or infinite, which the caller reports with rateError.
+func enabled(t *Transition, r float64, m Marking) (ok, finite bool) {
+	if !(r > 0) {
+		return false, r-r == 0 // NaN and -Inf fail
+	}
+	if r > math.MaxFloat64 {
+		return false, false
+	}
 	for _, a := range t.Inputs {
 		if m[a.Place] < a.Weight {
-			return 0, false
+			return false, true
 		}
 	}
-	if t.Guard != nil && !t.Guard(m) {
-		return 0, false
-	}
-	r := t.Rate(m)
-	if r <= 0 {
-		return 0, false
-	}
-	return r, true
+	return true, true
+}
+
+// rateError reports transition ti's non-finite rate r in state si.
+func (n *Net) rateError(si, ti int, r float64, m Marking) error {
+	return fmt.Errorf("spn: state %d {%s}: transition %q has non-finite rate %v",
+		si, m.Key(), n.trans[ti].Name, r)
 }
 
 // fireInto writes the successor marking of firing t in m into dst (a
@@ -206,7 +217,8 @@ type Graph struct {
 
 	table   *markingTable // marking -> state index, kept for StateIndex
 	nEdges  int
-	edgeCap int // capacity of the flat edge arena the Edges rows window
+	edgeCap int       // capacity of the flat edge arena the Edges rows window
+	rates   []float64 // Rerate's per-state rate scratch, one slot per transition
 }
 
 // ExploreOpts bounds state-space generation.
@@ -222,10 +234,13 @@ type ExploreOpts struct {
 // breadth-first search. It returns an error when the state space exceeds
 // opts.MaxStates, which usually indicates an unbounded or mis-specified
 // net; the bound is checked before each insertion, so no more than
-// MaxStates states are ever materialized. Explore only reads the net, so
-// a net whose rate and guard functions are pure may be explored from
-// several goroutines at once.
+// MaxStates states are ever materialized. The rate function is called once
+// per state. Explore only reads the net, so a net whose rate function is
+// pure may be explored from several goroutines at once.
 func (n *Net) Explore(initial Marking, opts ExploreOpts) (*Graph, error) {
+	if n.rates == nil {
+		return nil, fmt.Errorf("spn: net has no rate function")
+	}
 	if len(initial) != len(n.placeNames) {
 		return nil, fmt.Errorf("spn: initial marking has %d places, net has %d", len(initial), len(n.placeNames))
 	}
@@ -280,10 +295,15 @@ func (n *Net) Explore(initial Marking, opts ExploreOpts) (*Graph, error) {
 	flat := make([]Edge, 0, 4*hint)
 	rowStart := make([]int, 1, hint+1)
 	scratch := make(Marking, places)
+	rates := make([]float64, len(n.trans))
 	for head := 0; head < len(g.States); head++ {
 		m := g.States[head]
+		n.rates(m, rates)
 		for ti, t := range n.trans {
-			rate, ok := n.enabled(t, m)
+			ok, finite := enabled(t, rates[ti], m)
+			if !finite {
+				return nil, n.rateError(head, ti, rates[ti], m)
+			}
 			if !ok {
 				continue
 			}
@@ -292,7 +312,7 @@ func (n *Net) Explore(initial Marking, opts ExploreOpts) (*Graph, error) {
 			if err != nil {
 				return nil, err
 			}
-			flat = append(flat, Edge{To: to, Rate: rate, Transition: ti})
+			flat = append(flat, Edge{To: to, Rate: rates[ti], Transition: ti})
 		}
 		rowStart = append(rowStart, len(flat))
 	}

@@ -1,7 +1,9 @@
 package spn
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -15,13 +17,17 @@ func buildBirthDeath(capacity int, lambda, mu float64) (*Net, Marking) {
 	n.MustAddTransition(&Transition{
 		Name:    "birth",
 		Outputs: []Arc{{Place: p, Weight: 1}},
-		Rate:    func(m Marking) float64 { return lambda },
-		Guard:   func(m Marking) bool { return m[p] < capacity },
 	})
 	n.MustAddTransition(&Transition{
 		Name:   "death",
 		Inputs: []Arc{{Place: p, Weight: 1}},
-		Rate:   func(m Marking) float64 { return mu * float64(m[p]) },
+	})
+	n.SetRates(func(m Marking, out []float64) {
+		out[0] = 0
+		if m[p] < capacity {
+			out[0] = lambda
+		}
+		out[1] = mu * float64(m[p])
 	})
 	return n, Marking{0}
 }
@@ -78,8 +84,8 @@ func TestAbsorbingDetection(t *testing.T) {
 		Name:    "drain",
 		Inputs:  []Arc{{Place: a, Weight: 1}},
 		Outputs: []Arc{{Place: b, Weight: 1}},
-		Rate:    func(m Marking) float64 { return float64(m[a]) },
 	})
+	n.SetRates(func(m Marking, out []float64) { out[0] = float64(m[a]) })
 	g, err := n.Explore(Marking{3, 0}, ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -97,26 +103,27 @@ func TestAbsorbingDetection(t *testing.T) {
 }
 
 func TestGuardDisablesTransition(t *testing.T) {
-	// A guard that freezes the net when the failure place is marked makes
-	// every post-failure state absorbing, mirroring the paper's C1/C2
-	// absorption construction.
+	// A zero rate that freezes the net when the failure place is marked
+	// makes every post-failure state absorbing, mirroring the paper's
+	// C1/C2 absorption construction.
 	n := New()
 	up := n.AddPlace("Up")
 	fail := n.AddPlace("Fail")
-	okGuard := func(m Marking) bool { return m[fail] == 0 }
 	n.MustAddTransition(&Transition{
 		Name:    "failStep",
 		Inputs:  []Arc{{Place: up, Weight: 1}},
 		Outputs: []Arc{{Place: fail, Weight: 1}},
-		Rate:    func(m Marking) float64 { return 1 },
-		Guard:   okGuard,
 	})
 	n.MustAddTransition(&Transition{
 		Name:    "churn",
 		Inputs:  []Arc{{Place: up, Weight: 1}},
 		Outputs: []Arc{{Place: up, Weight: 1}},
-		Rate:    func(m Marking) float64 { return 5 },
-		Guard:   okGuard,
+	})
+	n.SetRates(func(m Marking, out []float64) {
+		out[0], out[1] = 0, 0
+		if m[fail] == 0 {
+			out[0], out[1] = 1, 5
+		}
 	})
 	g, err := n.Explore(Marking{2, 0}, ExploreOpts{})
 	if err != nil {
@@ -141,8 +148,8 @@ func TestSelfLoopChurnNotDuplicated(t *testing.T) {
 		Name:    "loop",
 		Inputs:  []Arc{{Place: p, Weight: 1}},
 		Outputs: []Arc{{Place: p, Weight: 1}},
-		Rate:    func(m Marking) float64 { return 3 },
 	})
+	n.SetRates(func(m Marking, out []float64) { out[0] = 3 })
 	g, err := n.Explore(Marking{1}, ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -164,8 +171,8 @@ func TestArcWeights(t *testing.T) {
 		Name:    "pair",
 		Inputs:  []Arc{{Place: p, Weight: 2}},
 		Outputs: []Arc{{Place: q, Weight: 1}},
-		Rate:    func(m Marking) float64 { return 1 },
 	})
+	n.SetRates(func(m Marking, out []float64) { out[0] = 1 })
 	g, err := n.Explore(Marking{5, 0}, ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +194,8 @@ func TestMaxStatesEnforced(t *testing.T) {
 	n.MustAddTransition(&Transition{
 		Name:    "birth",
 		Outputs: []Arc{{Place: p, Weight: 1}},
-		Rate:    func(m Marking) float64 { return 1 },
 	})
+	n.SetRates(func(m Marking, out []float64) { out[0] = 1 })
 	if _, err := n.Explore(Marking{0}, ExploreOpts{MaxStates: 100}); err == nil {
 		t.Fatal("unbounded net exploration did not error")
 	}
@@ -197,29 +204,30 @@ func TestMaxStatesEnforced(t *testing.T) {
 func TestAddTransitionValidation(t *testing.T) {
 	n := New()
 	p := n.AddPlace("P")
-	if err := n.AddTransition(&Transition{Name: "", Rate: func(Marking) float64 { return 1 }}); err == nil {
+	if err := n.AddTransition(&Transition{Name: ""}); err == nil {
 		t.Error("unnamed transition accepted")
 	}
-	if err := n.AddTransition(&Transition{Name: "t"}); err == nil {
-		t.Error("nil rate accepted")
-	}
 	if err := n.AddTransition(&Transition{
-		Name: "t", Rate: func(Marking) float64 { return 1 },
+		Name:   "t",
 		Inputs: []Arc{{Place: 5, Weight: 1}},
 	}); err == nil {
 		t.Error("unknown place accepted")
 	}
 	if err := n.AddTransition(&Transition{
-		Name: "t", Rate: func(Marking) float64 { return 1 },
+		Name:   "t",
 		Inputs: []Arc{{Place: p, Weight: 0}},
 	}); err == nil {
 		t.Error("zero arc weight accepted")
+	}
+	if _, err := n.Explore(Marking{1}, ExploreOpts{}); err == nil {
+		t.Error("net without a rate function explored")
 	}
 }
 
 func TestInitialMarkingValidation(t *testing.T) {
 	n := New()
 	n.AddPlace("P")
+	n.SetRates(func(Marking, []float64) {})
 	if _, err := n.Explore(Marking{1, 2}, ExploreOpts{}); err == nil {
 		t.Error("wrong-length marking accepted")
 	}
@@ -279,17 +287,17 @@ func TestTokenConservationProperty(t *testing.T) {
 	a := n.AddPlace("A")
 	b := n.AddPlace("B")
 	c := n.AddPlace("C")
-	move := func(name string, from, to int, r float64) {
+	move := func(name string, from, to int) {
 		n.MustAddTransition(&Transition{
 			Name:    name,
 			Inputs:  []Arc{{Place: from, Weight: 1}},
 			Outputs: []Arc{{Place: to, Weight: 1}},
-			Rate:    func(m Marking) float64 { return r },
 		})
 	}
-	move("ab", a, b, 1)
-	move("bc", b, c, 2)
-	move("ca", c, a, 3)
+	move("ab", a, b)
+	move("bc", b, c)
+	move("ca", c, a)
+	n.SetRates(func(m Marking, out []float64) { out[0], out[1], out[2] = 1, 2, 3 })
 	g, err := n.Explore(Marking{4, 0, 0}, ExploreOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -327,5 +335,55 @@ func TestGraphString(t *testing.T) {
 	s := g.String()
 	if s == "" {
 		t.Error("empty String()")
+	}
+}
+
+// TestNonFiniteRateIsError pins that a NaN or infinite rate is an error
+// naming the state and the transition, from Explore and from Rerate alike,
+// never an edge: NaN passes a plain r <= 0 test, and +Inf would poison the
+// generator.
+func TestNonFiniteRateIsError(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		// A birth-death net whose death rate turns bad at 3 tokens.
+		build := func(poisoned bool) *Net {
+			n, _ := buildBirthDeath(5, 1, 2)
+			n.SetRates(func(m Marking, out []float64) {
+				out[0] = 0
+				if m[0] < 5 {
+					out[0] = 1
+				}
+				out[1] = 2 * float64(m[0])
+				if poisoned && m[0] == 3 {
+					out[1] = bad
+				}
+			})
+			return n
+		}
+		wantMsg := func(err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("rate %v: no error", bad)
+			}
+			if errors.Is(err, ErrStructureChanged) {
+				t.Fatalf("rate %v: reported as a structure change: %v", bad, err)
+			}
+			for _, want := range []string{"state", "{3}", `"death"`, "non-finite"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("rate %v: error %q does not name %s", bad, err, want)
+				}
+			}
+		}
+		_, err := build(true).Explore(Marking{0}, ExploreOpts{})
+		wantMsg(err)
+
+		g, err := build(false).Explore(Marking{0}, ExploreOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone, err := g.CloneForRerate(build(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMsg(clone.Rerate())
 	}
 }
