@@ -128,24 +128,24 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // --- Solver backends ---
 
-// Registered linear-solver backend names for Config.Solver. "auto" (also
-// the empty string) picks by problem size: ILU(0)-preconditioned BiCGSTAB
-// for everything beyond a few hundred transient states — it wins 5-7x on
-// the paper models and >12x at 5*10^4 states, where stationary iteration
-// counts blow up but Krylov ones stay flat — and the SOR cascade only for
-// tiny systems where factorization is pure overhead. All backends converge
-// to the same 1e-12 relative residual, so the choice is pure execution
-// policy and never changes results (or engine cache keys) beyond solver
-// tolerance.
+// Linear-solver backend names for Config.Solver. "auto" (also the empty
+// string) answers first with the exact block-triangular direct solve,
+// which takes every paper model in one topological sweep; a chain whose
+// pattern it declines (a strongly connected component over 64 states, a
+// singular block) is solved with ILU(0)-preconditioned BiCGSTAB, and dense
+// LU rescues a failed solve of at most 1500 states. "ilu-bicgstab" and
+// "gmres" skip the direct solve and run that Krylov method first, under
+// the same rescue. All backends converge to the same 1e-12 relative
+// residual, so the choice is pure execution policy and never changes
+// results (or engine cache keys) beyond solver tolerance.
 const (
 	SolverAuto        = ctmc.BackendAuto
-	SolverSORCascade  = ctmc.BackendSORCascade
 	SolverILUBiCGSTAB = ctmc.BackendILUBiCGSTAB
 	SolverGMRES       = ctmc.BackendGMRES
 )
 
-// SolverBackends returns the sorted names of every registered linear-solver
-// backend, all valid values for Config.Solver (and for the REPRO_SOLVER
+// SolverBackends returns the sorted names of every linear-solver backend,
+// all valid values for Config.Solver (and for the REPRO_SOLVER
 // environment variable, which overrides the process default).
 func SolverBackends() []string { return ctmc.SolverBackendNames() }
 

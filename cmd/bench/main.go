@@ -76,9 +76,8 @@ type Result struct {
 	// PatchedSolvesPerOp and RefactorizationsPerOp account for the
 	// incremental re-solve path (sweep_incremental only): how many points
 	// were served by patching the cached generator pattern in place, and
-	// how often the drift/iteration budgets forced a fresh ILU(0)
-	// factorization. Refactorizations ≪ points is what makes the
-	// incremental path cheap.
+	// how many of them the exact direct solve did not answer, so the
+	// working chain factored ILU(0) afresh (ctmc.Refactorizations).
 	PatchedSolvesPerOp    uint64 `json:"patched_solves_per_op,omitempty"`
 	RefactorizationsPerOp uint64 `json:"refactorizations_per_op,omitempty"`
 	// ReqPerSec and P99Ns are HTTP-serving throughput and tail latency
@@ -287,8 +286,7 @@ func kernelWorkloads(n int) []Result {
 	rTranspose := measure("transpose_generator", n, func() { q.Transpose() })
 
 	// solve: the transient sojourn solve on a prebuilt chain — the solver
-	// kernel (SOR cascade) plus whatever per-solve assembly the chain
-	// still performs.
+	// ladder plus whatever per-solve assembly the chain still performs.
 	rSolve := measureSolves("solve_sojourn", n, func() {
 		if _, err := chain.Solve(g.Initial); err != nil {
 			fatal(err)
@@ -408,8 +406,9 @@ func largeNChain(side int) *ctmc.Chain {
 }
 
 // largeNWorkloads times the transient sojourn solve on the synthetic
-// large-N chain once per backend (plus auto, which must route to the
-// Krylov side at this size). Each backend gets a fresh chain so it pays
+// large-N chain once per backend (plus auto, whose direct solve declines
+// the lattice's one large strongly connected component, so ILU(0)-BiCGSTAB
+// answers). Each backend gets a fresh chain so it pays
 // its own one-time sub-generator assembly and (for the Krylov backends)
 // ILU(0) factorization on the first op — exactly the per-chain amortization
 // production sees.
@@ -417,7 +416,6 @@ func largeNWorkloads(side int) []Result {
 	states := side * side
 	var out []Result
 	for _, spec := range []struct{ short, backend string }{
-		{"sor", ctmc.BackendSORCascade},
 		{"ilu", ctmc.BackendILUBiCGSTAB},
 		{"gmres", ctmc.BackendGMRES},
 		{"auto", ctmc.BackendAuto},
@@ -518,8 +516,8 @@ func denseTIDSGrid(points int, lo, hi float64) []float64 {
 // the first point of each chunk pays a full prepare, every later point
 // re-rates the shared graph, patches the cached generator pattern in
 // place, and re-solves — exactly, through the reused SCC-condensed
-// block-triangular factorization, or under the frozen ILU(0)
-// preconditioner when the pattern is too cyclic for it. Both run
+// block-triangular factorization, or through the working chain's
+// ILU(0)-BiCGSTAB ladder when the pattern is too cyclic for it. Both run
 // memoization-free, so the speedup is per-point algorithmic cost, not
 // caching. Before timing, the incremental sweep is checked point-for-point
 // against a full prepare per point (core.Analyze) to 1e-10 relative — the

@@ -102,11 +102,11 @@ type Config struct {
 	Parallelism int
 	// Solver selects the linear-solver backend the transient sojourn
 	// solves run through: "" or "auto" tries the exact block-triangular
-	// direct solve first and, for a chain it declines, picks an iterative
-	// backend by problem size (the SOR cascade below a few hundred
-	// transient states, ILU(0)-preconditioned BiCGSTAB above; see ctmc's
-	// autoKrylovStates), or names a registered backend explicitly
-	// ("sor-cascade", "ilu-bicgstab", "gmres"; see ctmc.SolverBackendNames).
+	// direct solve first and solves a chain it declines with
+	// ILU(0)-preconditioned BiCGSTAB; "ilu-bicgstab" or "gmres" skip the
+	// direct solve and run that Krylov method first (see
+	// ctmc.SolverBackendNames). Dense LU rescues a failed solve of at most
+	// 1500 transient states under every backend.
 	// Unlike Parallelism, which has no effect, it changes how a point is
 	// solved, but it is an execution policy, not a model parameter: every
 	// backend converges to the same 1e-12 relative residual, so the

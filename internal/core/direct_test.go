@@ -30,7 +30,7 @@ func paperModelVariants(n int) map[string]Config {
 // iterativeIters sums the iterations every iterative backend has spent.
 func iterativeIters() uint64 {
 	by := ctmc.SolveIterationsByBackend()
-	return by[ctmc.BackendSORCascade] + by[ctmc.BackendILUBiCGSTAB] + by[ctmc.BackendGMRES]
+	return by[ctmc.BackendILUBiCGSTAB] + by[ctmc.BackendGMRES]
 }
 
 // TestAutoDirectRungOnPaperModels pins that auto solves of the paper's
@@ -194,10 +194,55 @@ func directDeclines(t *testing.T) map[string]float64 {
 	return out
 }
 
+// rateCorners enumerates the corners of the rate ranges the benchmark
+// workloads draw from: N in {20, 25, 30, 40, 50, 60}, m in {3, 9}, TIDS in
+// {5, 1200}, every detection and attacker shape, LambdaC scaled by 2^±1,
+// P1 by 2^±1/2, and both protocols — 1728 models. With -short only every
+// seventh is kept (7 is coprime to every axis length, so each value of
+// each axis still appears).
+func rateCorners() []Config {
+	var out []Config
+	for _, proto := range []Protocol{ProtocolVoting, ProtocolClusterHead} {
+		for _, n := range []int{20, 25, 30, 40, 50, 60} {
+			for _, m := range []int{3, 9} {
+				for _, tids := range []float64{5, 1200} {
+					for _, det := range shapes.Kinds() {
+						for _, atk := range shapes.Kinds() {
+							for _, lc := range []float64{0.5, 2} {
+								for _, p1 := range []float64{math.Sqrt2 / 2, math.Sqrt2} {
+									cfg := DefaultConfig()
+									cfg.Protocol, cfg.N, cfg.M, cfg.TIDS = proto, n, m, tids
+									cfg.Detection, cfg.Attacker = det, atk
+									cfg.LambdaC *= lc
+									cfg.P1 *= p1
+									cfg.Solver = ctmc.BackendAuto
+									out = append(out, cfg)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if testing.Short() {
+		thin := out[:0]
+		for i := 0; i < len(out); i += 7 {
+			thin = append(thin, out[i])
+		}
+		out = thin
+	}
+	return out
+}
+
 // TestPaperGridNeverDeclinesDirect pins that the exact direct solve answers
 // every paper model: both protocols, N in {10, 20, 40, 60} (and 100 unless
 // -short), one and four groups, all three detection shapes, and the
-// explicit-eviction model at N <= 40, with no decline of any reason.
+// explicit-eviction model at N <= 40, plus the benchmark workloads' rate
+// corners (rateCorners), with no decline of any reason. "Singular" and
+// "stalled" declines depend on rate values, not only on the pattern, so
+// the corners are what licenses answering every workload point on the
+// direct rung.
 func TestPaperGridNeverDeclinesDirect(t *testing.T) {
 	ns := []int{10, 20, 40, 60}
 	if !testing.Short() {
@@ -225,6 +270,13 @@ func TestPaperGridNeverDeclinesDirect(t *testing.T) {
 				}
 			}
 		}
+	}
+	for _, cfg := range rateCorners() {
+		if _, err := Analyze(cfg); err != nil {
+			t.Fatalf("%v N=%d m=%d TIDS=%g %v/%v LambdaC=%g P1=%g: %v", cfg.Protocol, cfg.N, cfg.M,
+				cfg.TIDS, cfg.Detection, cfg.Attacker, cfg.LambdaC, cfg.P1, err)
+		}
+		points++
 	}
 	after := directDeclines(t)
 	for reason, v := range after {

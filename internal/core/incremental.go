@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ctmc"
-	"repro/internal/linalg"
 	"repro/internal/spn"
 )
 
@@ -29,12 +28,13 @@ var ErrStructuralDelta = errors.New("core: structural config delta; full re-prep
 // prepared configuration, it evaluates rate-only neighbouring
 // configurations by re-rating the shared reachability graph, patching the
 // cached generator pattern in place, and re-solving — exactly, through
-// the session's reused block-triangular factorization, or under the
-// frozen ILU(0) preconditioner when the pattern is too cyclic for it —
-// skipping exploration, CSR assembly, transpose, and symbolic
-// factorization entirely. Not safe for concurrent use, and each
-// Prepared it returns aliases the working arrays: consume it (Analyze,
-// ForwardSensitivities) before the next Prepared call patches under it.
+// the session's reused block-triangular factorization, or through the
+// working chain's solve ladder when the pattern is too cyclic for it or
+// the config pins an iterative backend — skipping exploration, CSR
+// assembly, transpose, and symbolic factorization entirely. Not safe for
+// concurrent use, and each Prepared it returns aliases the working
+// arrays: consume it (Analyze, ForwardSensitivities) before the next
+// Prepared call patches under it.
 //
 // Every patched model reads a voting table someone else filled when it
 // can: Model.votingProbs is a pure function of (Protocol, M, P1, P2) and
@@ -49,9 +49,8 @@ type PreparedDelta struct {
 	anchor Config
 	graph  *spn.Graph // CloneForRerate clone sharing the donor's structure
 	pc     *ctmc.PatchedChain
-	prevY  linalg.Vector // previous point's sojourn vector (warm start)
-	donor  *Model        // the donor's model, whose voting table Explore froze
-	model  *Model        // last patched point's model
+	donor  *Model // the donor's model, whose voting table Explore froze
+	model  *Model // last patched point's model
 }
 
 // NewPreparedDelta anchors an incremental session on a fully prepared
@@ -66,21 +65,16 @@ func NewPreparedDelta(donor *Prepared) (*PreparedDelta, error) {
 	if err != nil {
 		return nil, err
 	}
-	pd := &PreparedDelta{anchor: donor.Model.Config, graph: g, pc: pc, donor: donor.Model}
-	if sol, err := donor.Solution(); err == nil {
-		pd.prevY = sol.SojournTimes()
-	}
-	return pd, nil
+	return &PreparedDelta{anchor: donor.Model.Config, graph: g, pc: pc, donor: donor.Model}, nil
 }
 
 // SizeBytes estimates what the session holds privately: the re-rated
 // graph's edge arena, the patched chain's value arrays, Q_TT, factors and
-// scatter maps, the warm-start vector, and the last patched model's
-// rate-factor tables. The structure it shares with its donor — markings,
+// scatter maps, and the last patched model's rate-factor tables. The structure it shares with its donor — markings,
 // state table, generator pattern, the voting table — is the donor's to
 // count (Prepared.SizeBytes).
 func (pd *PreparedDelta) SizeBytes() int64 {
-	size := pd.graph.EdgeBytes() + pd.pc.SizeBytes() + int64(cap(pd.prevY))*8
+	size := pd.graph.EdgeBytes() + pd.pc.SizeBytes()
 	if pd.model != nil {
 		size += pd.model.tableBytes(pd.model.vote != pd.donor.vote)
 	}
@@ -121,11 +115,10 @@ func (pd *PreparedDelta) Prepared(cfg Config) (*Prepared, error) {
 		structuralRepreps.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrStructuralDelta, err)
 	}
-	sol, err := pd.pc.Solve(pd.graph.Initial, pd.prevY)
+	sol, err := pd.pc.Solve(pd.graph.Initial)
 	if err != nil {
 		return nil, err
 	}
-	pd.prevY = sol.SojournTimes()
 	pd.anchor = cfg
 
 	p := &Prepared{Model: model, Graph: pd.graph, Chain: pd.pc.Chain()}

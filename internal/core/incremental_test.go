@@ -32,63 +32,56 @@ func incrementalTestGrid(base Config) []Config {
 }
 
 // TestPatchedResolveMatchesFullPrepare is the tentpole property: under
-// every registered solver backend — and under both solve tiers, the exact
-// block-triangular sweep and the frozen-ILU Krylov fallback it shadows —
-// evaluating a rate-only neighbourhood through one PreparedDelta session
-// (re-rate, in-place generator patch, incremental re-solve) reproduces the
-// full re-prepare's dense-LU ground truth at every point to 1e-10.
+// every solver backend — auto on the exact block-triangular tier, the
+// explicit backends on the working chain's ladder — evaluating a
+// rate-only neighbourhood through one PreparedDelta session (re-rate,
+// in-place generator patch, incremental re-solve) reproduces the full
+// re-prepare's dense-LU ground truth at every point to 1e-10.
 func TestPatchedResolveMatchesFullPrepare(t *testing.T) {
-	for _, disableDirect := range []bool{false, true} {
-		tier := "direct"
-		if disableDirect {
-			tier = "krylov"
+	for _, name := range ctmc.SolverBackendNames() {
+		base := DefaultConfig()
+		base.N = 10
+		base.Solver = name
+		donor, err := Prepare(base)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		for _, name := range ctmc.SolverBackendNames() {
-			base := DefaultConfig()
-			base.N = 10
-			base.Solver = name
-			donor, err := Prepare(base)
+		pd, err := NewPreparedDelta(donor)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for pi, cfg := range incrementalTestGrid(base) {
+			p, err := pd.Prepared(cfg)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", tier, name, err)
+				t.Fatalf("%s point %d: %v", name, pi, err)
 			}
-			pd, err := NewPreparedDelta(donor)
+			sol, err := p.Solution()
 			if err != nil {
-				t.Fatalf("%s/%s: %v", tier, name, err)
+				t.Fatalf("%s point %d: %v", name, pi, err)
 			}
-			pd.pc.DisableDirect = disableDirect
-			for pi, cfg := range incrementalTestGrid(base) {
-				p, err := pd.Prepared(cfg)
-				if err != nil {
-					t.Fatalf("%s/%s point %d: %v", tier, name, pi, err)
-				}
-				sol, err := p.Solution()
-				if err != nil {
-					t.Fatalf("%s/%s point %d: %v", tier, name, pi, err)
-				}
-				y := sol.SojournTimes()
-				full, err := Prepare(cfg)
-				if err != nil {
-					t.Fatalf("%s/%s point %d: %v", tier, name, pi, err)
-				}
-				want := denseSojournReference(t, full)
-				scale := 1 + want.NormInf()
-				for i := range want {
-					if d := y[i] - want[i]; d > 1e-10*scale || d < -1e-10*scale {
-						t.Fatalf("%s/%s point %d: patched sojourn[%d] = %g, dense LU %g (diff %g)",
-							tier, name, pi, i, y[i], want[i], d)
-					}
+			y := sol.SojournTimes()
+			full, err := Prepare(cfg)
+			if err != nil {
+				t.Fatalf("%s point %d: %v", name, pi, err)
+			}
+			want := denseSojournReference(t, full)
+			scale := 1 + want.NormInf()
+			for i := range want {
+				if d := y[i] - want[i]; d > 1e-10*scale || d < -1e-10*scale {
+					t.Fatalf("%s point %d: patched sojourn[%d] = %g, dense LU %g (diff %g)",
+						name, pi, i, y[i], want[i], d)
 				}
 			}
 		}
 	}
 }
 
-// TestPatchedResolveForcedRefactor pins the preconditioner-drift budget of
-// the Krylov tier (forced via DisableDirect — the exact tier never consults
-// the frozen factors): a 240x detection-rate jump (TIDS 5 -> 1200) drifts
-// the patched generator far past the frozen ILU(0) factors' budget, forcing
-// a refactorization — and the refactored solve still lands on the dense-LU
-// answer.
+// TestPatchedResolveForcedRefactor pins the patched solve of a session
+// pinned to ilu-bicgstab: the direct tier belongs to auto, so every
+// patched point — across a 240x detection-rate jump (TIDS 5 -> 1200) and
+// back — re-solves through the working chain's ladder on exactly one
+// fresh ILU(0) factorization of its own values, and lands on the dense-LU
+// answer to 1e-10.
 func TestPatchedResolveForcedRefactor(t *testing.T) {
 	base := DefaultConfig()
 	base.N = 10
@@ -102,31 +95,32 @@ func TestPatchedResolveForcedRefactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd.pc.DisableDirect = true
-	before := ctmc.Refactorizations()
-	far := base
-	far.TIDS = 1200
-	p, err := pd.Prepared(far)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ctmc.Refactorizations(); got == before {
-		t.Fatalf("240x rate jump did not force a refactorization (count still %d)", got)
-	}
-	sol, err := p.Solution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := sol.SojournTimes()
-	full, err := Prepare(far)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := denseSojournReference(t, full)
-	scale := 1 + want.NormInf()
-	for i := range want {
-		if d := y[i] - want[i]; d > 1e-10*scale || d < -1e-10*scale {
-			t.Fatalf("post-refactor sojourn[%d] = %g, dense LU %g", i, y[i], want[i])
+	for _, tids := range []float64{1200, 5, 120} {
+		cfg := base
+		cfg.TIDS = tids
+		before := ctmc.Refactorizations()
+		p, err := pd.Prepared(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ctmc.Refactorizations() - before; got != 1 {
+			t.Errorf("TIDS=%g: %d ILU(0) refactorizations for one patched point, want 1", tids, got)
+		}
+		sol, err := p.Solution()
+		if err != nil {
+			t.Fatal(err)
+		}
+		y := sol.SojournTimes()
+		full, err := Prepare(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := denseSojournReference(t, full)
+		scale := 1 + want.NormInf()
+		for i := range want {
+			if d := y[i] - want[i]; d > 1e-10*scale || d < -1e-10*scale {
+				t.Fatalf("TIDS=%g: patched sojourn[%d] = %g, dense LU %g", tids, i, y[i], want[i])
+			}
 		}
 	}
 }

@@ -33,7 +33,7 @@ type Prepared struct {
 // assembles the CTMC — everything up to (but not including) the linear
 // solve. The configuration's solver backend (Config.Solver, "" = auto) is
 // pinned on the chain here so every solve derived from this Prepared —
-// cold, warm-started, or all-starts — runs through it. Note the memoizing
+// sojourn, sensitivity, or all-starts — runs through it. Note the memoizing
 // engine shares prepared models across solver spellings (the fingerprint
 // excludes Solver, as it excludes the no-op Parallelism): a cache-hit
 // Prepared keeps the backend of whichever spelling prepared it first,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ctmc"
@@ -81,7 +82,7 @@ func solverEquivGrid() []Config {
 }
 
 // TestBackendsMatchDenseLUOnModelGrid is the cross-backend equivalence
-// property: every registered solver backend reproduces the dense-LU sojourn
+// property: every solver backend reproduces the dense-LU sojourn
 // vector to 1e-10 on the small-model grid. Backends are execution policy —
 // this is what licenses excluding Config.Solver from engine fingerprints.
 func TestBackendsMatchDenseLUOnModelGrid(t *testing.T) {
@@ -119,12 +120,11 @@ func TestBackendsMatchDenseLUOnModelGrid(t *testing.T) {
 
 // TestBackendsMatchDenseLUWarmSwept checks a TIDS sweep with Config.Solver
 // pinned to each backend against the dense-LU MTTSF and a per-point
-// full-prepare Analyze at every grid point. Only the sweep's anchor (its
-// first point) is solved by the pinned backend: the later points are
-// patched and answered by PatchedChain's exact block-triangular tier
-// whatever the backend, so this pins that the backend choice cannot leak
-// into a sweep's answers. The per-backend frozen-ILU Krylov tier of
-// patched points is checked element by element against dense LU in
+// full-prepare Analyze at every grid point. The later points are patched:
+// under auto the exact block-triangular tier answers them, under an
+// explicit backend the working chain's ladder does, so this pins that the
+// backend choice cannot leak into a sweep's answers. The patched points
+// are checked element by element against dense LU in
 // TestPatchedResolveMatchesFullPrepare.
 func TestBackendsMatchDenseLUWarmSwept(t *testing.T) {
 	grid := []float64{30, 120, 480, 1200}
@@ -165,8 +165,9 @@ func TestBackendsMatchDenseLUWarmSwept(t *testing.T) {
 	}
 }
 
-// TestConfigSolverValidation pins the knob's validation: registered names
-// and "" pass, anything else is rejected before any work happens.
+// TestConfigSolverValidation pins the knob's validation: backend names
+// and "" pass, anything else — the deleted sor-cascade backend included —
+// is rejected before any work happens, with the list of valid names.
 func TestConfigSolverValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, name := range append([]string{""}, ctmc.SolverBackendNames()...) {
@@ -175,11 +176,20 @@ func TestConfigSolverValidation(t *testing.T) {
 			t.Errorf("Solver=%q rejected: %v", name, err)
 		}
 	}
-	cfg.Solver = "cholesky-of-doom"
-	if err := cfg.Validate(); err == nil {
-		t.Error("unknown solver name passed validation")
-	}
-	if _, err := Prepare(cfg); err == nil {
-		t.Error("Prepare accepted an unknown solver name")
+	for _, name := range []string{"cholesky-of-doom", "sor-cascade"} {
+		cfg.Solver = name
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("unknown solver name %q passed validation", name)
+			continue
+		}
+		for _, valid := range ctmc.SolverBackendNames() {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("Solver=%q: error %q does not list %q", name, err, valid)
+			}
+		}
+		if _, err := Prepare(cfg); err == nil {
+			t.Errorf("Prepare accepted the unknown solver name %q", name)
+		}
 	}
 }

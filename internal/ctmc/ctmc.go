@@ -35,8 +35,8 @@ type Chain struct {
 	subT     *linalg.CSR
 
 	// ILU(0) factors are cached alongside the sub-generators they factor,
-	// one per matrix, so every sweep point and warm-started solve of the
-	// same chain reuses them instead of refactoring.
+	// one per matrix, so every solve of the same chain reuses them instead
+	// of refactoring. A patched chain drops them on every PatchRates.
 	iluSubOnce  sync.Once
 	iluSub      *linalg.ILU0
 	iluSubErr   error
@@ -52,6 +52,10 @@ type Chain struct {
 	// solver is the explicit backend selected for this chain (nil routes
 	// through DefaultSolverBackend).
 	solver SolverBackend
+
+	// patched marks a PatchedChain's working chain: its ILU(0)
+	// factorizations count in Refactorizations.
+	patched bool
 }
 
 // SetSolver pins the linear-solver backend this chain's transient solves
@@ -72,7 +76,7 @@ func (c *Chain) Solver() SolverBackend {
 // sojourn system's matrix), caching factors and error on the chain.
 func (c *Chain) iluForSubT() (*linalg.ILU0, error) {
 	c.iluSubTOnce.Do(func() {
-		c.iluSubT, c.iluSubTErr = linalg.NewILU0(c.subGeneratorT())
+		c.iluSubT, c.iluSubTErr = c.factorILU(c.subGeneratorT())
 	})
 	return c.iluSubT, c.iluSubTErr
 }
@@ -81,9 +85,18 @@ func (c *Chain) iluForSubT() (*linalg.ILU0, error) {
 // all-starts reward system's matrix).
 func (c *Chain) iluForSub() (*linalg.ILU0, error) {
 	c.iluSubOnce.Do(func() {
-		c.iluSub, c.iluSubErr = linalg.NewILU0(c.subGenerator())
+		c.iluSub, c.iluSubErr = c.factorILU(c.subGenerator())
 	})
 	return c.iluSub, c.iluSubErr
+}
+
+// factorILU computes the ILU(0) factors of a, counting a patched chain's
+// factorizations as refactorizations.
+func (c *Chain) factorILU(a *linalg.CSR) (*linalg.ILU0, error) {
+	if c.patched {
+		refactorizations.Add(1)
+	}
+	return linalg.NewILU0(a)
 }
 
 // FromGraph converts an SPN reachability graph into a CTMC. The graph's
@@ -260,68 +273,41 @@ func (c *Chain) buildSub() *linalg.CSR {
 	return sub
 }
 
-// solverTol and solverMaxIter are the shared cascade settings.
+// solverTol and solverMaxIter are the shared iterative-solver settings.
 const (
 	solverTol     = 1e-12
 	solverMaxIter = 40000
 )
 
 // solveVia routes one logical transient solve through the chain's selected
-// backend, wrapped in the graceful-degradation ladder: the backend's result
-// is validated (finite entries + residual gate) and a breakdown or invalid
-// output falls back primary → sor-cascade → dense LU, counted per backend
-// in FallbacksByBackend. Under "auto" the primary rung first tries the
-// exact block-triangular solve through direct (the chain-cached state of
-// a) and, when that declines, the iterative backend picked by system size.
-// ilu hands the backend the chain-cached ILU(0) factors of a. Warm-start
-// guesses change iteration counts, not answers: every accepted solution
-// passed the same residual gate.
-func (c *Chain) solveVia(a *linalg.CSR, rhs, x0 linalg.Vector, ilu func() (*linalg.ILU0, error), direct *blockTriDirect) (linalg.Vector, error) {
+// backend, wrapped in the graceful-degradation ladder (degrade.go): the
+// backend's result is validated (finite entries + residual gate) and a
+// breakdown or invalid output falls back primary → ILU(0)-BiCGSTAB →
+// dense LU, counted per backend in FallbacksByBackend. Under "auto" the
+// primary rung first tries the exact block-triangular solve through direct
+// (the chain-cached state of a) and, when that declines, ILU(0)-BiCGSTAB.
+// ilu hands the backend the chain-cached ILU(0) factors of a.
+func (c *Chain) solveVia(a *linalg.CSR, rhs linalg.Vector, ilu func() (*linalg.ILU0, error), direct *blockTriDirect) (linalg.Vector, error) {
 	solveCount.Add(1)
-	sel := c.Solver()
-	b := resolveBackend(sel, a)
-	sctx := &SolveContext{A: a, B: rhs, X0: x0, ILU: ilu}
-	if sel.Name() == BackendAuto {
-		sctx.direct = direct
+	b := c.Solver()
+	sctx := &SolveContext{A: a, B: rhs, ILU: ilu}
+	if b.Name() == BackendAuto {
+		b, sctx.direct = iluBiCGSTABBackend{}, direct
 	}
 	if !obs.Armed() {
 		return solveDegrading(b, sctx)
 	}
-	// Armed: time the solve and capture its iteration count. The sink
+	// Armed: time the solve and record its iteration count. The count
 	// lives inside the already-heap-allocated context, so arming adds
 	// clock reads and atomic stores but no allocation.
-	sctx.Iters = &sctx.itersLocal
 	start := time.Now()
 	x, err := solveDegrading(b, sctx)
 	label := b.Name()
 	if sctx.directAnswered {
 		label = blockTriBackend
 	}
-	observeSolve(label, time.Since(start).Seconds(), sctx.itersLocal)
+	observeSolve(label, time.Since(start).Seconds(), sctx.iters)
 	return x, err
-}
-
-// cascade is the counter-free solver body (SOR -> BiCGSTAB -> dense LU for
-// small systems); callers account one SolveCount per logical transient
-// solve themselves.
-func cascade(ctx *SolveContext) (linalg.Vector, error) {
-	x, res, err := linalg.SolveSOR(ctx.A, ctx.B, linalg.IterOpts{Tol: solverTol, MaxIter: solverMaxIter, X0: ctx.X0})
-	ctx.countIters(BackendSORCascade, uint64(res.Iterations))
-	if err == nil {
-		return x, nil
-	}
-	x, res, err2 := linalg.SolveBiCGSTAB(ctx.A, ctx.B, linalg.IterOpts{Tol: solverTol, MaxIter: solverMaxIter, X0: ctx.X0})
-	ctx.countIters(BackendSORCascade, uint64(res.Iterations))
-	if err2 == nil {
-		return x, nil
-	}
-	if ctx.A.Rows <= denseRescueMax {
-		xd, err3 := linalg.SolveDense(ctx.A.Dense(), ctx.B)
-		if err3 == nil {
-			return xd, nil
-		}
-	}
-	return nil, fmt.Errorf("ctmc: linear solve failed: SOR %v; BiCGSTAB %v", err, err2)
 }
 
 // SojournTimes returns, for a chain started in state init, the expected
@@ -329,22 +315,11 @@ func cascade(ctx *SolveContext) (linalg.Vector, error) {
 // have y[j] = 0. This single solve yields MTTA (sum of y), any accumulated
 // reward (dot product with a reward vector), and absorption splits.
 func (c *Chain) SojournTimes(init int) (linalg.Vector, error) {
-	return c.SojournTimesFrom(init, nil)
-}
-
-// SojournTimesFrom is SojournTimes with an optional warm-start guess: warm
-// is a previous full-length sojourn vector, expected to come from a chain
-// with the same state numbering (the sweep drivers guarantee that — grid
-// points differ in rates, not reachability). A vector of any other length
-// is silently ignored; a vector that matches in length but came from a
-// structurally different chain only degrades the starting iterate, never
-// the answer, since every solve converges to the same 1e-12 residual.
-func (c *Chain) SojournTimesFrom(init int, warm linalg.Vector) (linalg.Vector, error) {
 	at, rhs, y, done, err := c.transientSystem(init)
 	if done || err != nil {
 		return y, err
 	}
-	sol, err := c.solveVia(at, rhs, c.compactWarm(warm), c.iluForSubT, &c.dirSubT)
+	sol, err := c.solveVia(at, rhs, c.iluForSubT, &c.dirSubT)
 	if err != nil {
 		return nil, err
 	}
@@ -366,27 +341,13 @@ func (c *Chain) transientSystem(init int) (at *linalg.CSR, rhs, y linalg.Vector,
 	}
 	if len(c.tRev) == c.n {
 		// Fail fast: with no absorbing state Q_TT is singular and the
-		// sojourn times are infinite; don't burn the solver cascade.
+		// sojourn times are infinite; don't burn the solve ladder.
 		return nil, nil, nil, false, fmt.Errorf("ctmc: chain has no absorbing states; MTTA is infinite")
 	}
 	at = c.subGeneratorT()
 	rhs = linalg.NewVector(len(c.tRev))
 	rhs[c.tIdx[init]] = -1
 	return at, rhs, y, false, nil
-}
-
-// compactWarm maps a full-length warm-start sojourn vector onto the
-// compact transient numbering, or returns nil (cold start) when the shape
-// does not match this chain.
-func (c *Chain) compactWarm(warm linalg.Vector) linalg.Vector {
-	if len(warm) != c.n {
-		return nil
-	}
-	x0 := linalg.NewVector(len(c.tRev))
-	for ti, i := range c.tRev {
-		x0[ti] = warm[i]
-	}
-	return x0
 }
 
 // expandTransient scatters a compact transient solution into the
@@ -460,7 +421,7 @@ func (c *Chain) ExpectedRewardAllStarts(reward linalg.Vector) (linalg.Vector, er
 	for ti, i := range c.tRev {
 		rhs[ti] = -reward[i]
 	}
-	sol, err := c.solveVia(a, rhs, nil, c.iluForSub, &c.dirSub)
+	sol, err := c.solveVia(a, rhs, c.iluForSub, &c.dirSub)
 	if err != nil {
 		return nil, err
 	}
@@ -489,7 +450,7 @@ func (c *Chain) SolveSubTT(rhsFull linalg.Vector) (linalg.Vector, error) {
 	for ti, i := range c.tRev {
 		rhs[ti] = rhsFull[i]
 	}
-	sol, err := c.solveVia(c.subGeneratorT(), rhs, nil, c.iluForSubT, &c.dirSubT)
+	sol, err := c.solveVia(c.subGeneratorT(), rhs, c.iluForSubT, &c.dirSubT)
 	if err != nil {
 		return nil, err
 	}

@@ -1,15 +1,16 @@
 package ctmc
 
 // Graceful-degradation solve ladder. Every logical transient solve routed
-// through Chain.solveVia runs primary rung → sor-cascade → dense LU (under
-// "auto" the primary rung is the exact block-triangular solve, then the
-// iterative backend picked by system size),
-// advancing a rung only when the one below it broke down or produced an
-// invalid solution. "Invalid" is decided by validateSolve — every rung's
-// output must be finite in every entry and pass a residual gate — so a
-// backend that silently returns garbage (a Krylov breakdown that "converged"
-// to NaN, a fault-injected corruption) is caught here, before the value can
-// reach the engine's result cache or a snapshot.
+// through Chain.solveVia runs primary rung → ILU(0)-BiCGSTAB → dense LU.
+// The primary rung is the chain's backend, which under "auto" first tries
+// the exact block-triangular solve and answers a pattern it declines with
+// ILU(0)-BiCGSTAB. The ladder advances a rung only when the one below it
+// broke down or produced an invalid solution. "Invalid" is decided by
+// validateSolve — every rung's output must be finite in every entry and
+// pass a residual gate — so a backend that silently returns garbage (a
+// Krylov breakdown that "converged" to NaN, a fault-injected corruption)
+// is caught here, before the value can reach the engine's result cache or
+// a snapshot.
 //
 // Degradations are counted per failed backend (FallbacksByBackend), which
 // is the health signal /v1/stats and /healthz surface: a production server
@@ -99,10 +100,10 @@ func validateSolve(a *linalg.CSR, rhs, x linalg.Vector) error {
 	return nil
 }
 
-// solveDegrading runs the ladder for one system: the resolved primary
-// backend first, then the SOR cascade (when it was not already the
-// primary), then a dense-LU rescue for systems small enough to afford it.
-// Each rung's result is validated; only a validated vector escapes.
+// solveDegrading runs the ladder for one system: the primary backend
+// first, then a clean ILU(0)-BiCGSTAB rung, then a dense-LU rescue for
+// systems small enough to afford it. Each rung's result is validated;
+// only a validated vector escapes.
 func solveDegrading(primary SolverBackend, ctx *SolveContext) (linalg.Vector, error) {
 	// A typo'd $REPRO_SOLVER is operator misconfiguration, not a solver
 	// breakdown: rescuing it on a fallback rung would silently run a
@@ -119,14 +120,12 @@ func solveDegrading(primary SolverBackend, ctx *SolveContext) (linalg.Vector, er
 	countFallback(primary.Name())
 	errs := []error{fmt.Errorf("%s: %w", primary.Name(), err)}
 
-	if primary.Name() != BackendSORCascade {
-		x, err = attemptRung(sorCascadeBackend{}, ctx, false)
-		if err == nil {
-			return x, nil
-		}
-		countFallback(BackendSORCascade)
-		errs = append(errs, fmt.Errorf("%s: %w", BackendSORCascade, err))
+	x, err = attemptRung(iluBiCGSTABBackend{}, ctx, false)
+	if err == nil {
+		return x, nil
 	}
+	countFallback(BackendILUBiCGSTAB)
+	errs = append(errs, fmt.Errorf("%s: %w", BackendILUBiCGSTAB, err))
 
 	if ctx.A.Rows <= denseRescueMax {
 		xd, derr := linalg.SolveDense(ctx.A.Dense(), ctx.B)

@@ -59,7 +59,7 @@ func TestAutoAnswersThroughDirectRung(t *testing.T) {
 		t.Fatal("no block-triangular factorization cached on the chain after an auto solve")
 	}
 	after := SolveIterationsByBackend()
-	for _, name := range []string{BackendSORCascade, BackendILUBiCGSTAB, BackendGMRES} {
+	for _, name := range []string{BackendILUBiCGSTAB, BackendGMRES} {
 		if d := after[name] - itersBefore[name]; d != 0 {
 			t.Errorf("%s spent %d iterations; the direct rung should have answered", name, d)
 		}
@@ -132,7 +132,7 @@ func subTResidual(c *Chain, x, rhs linalg.Vector) float64 {
 func TestExplicitBackendsSkipDirectRung(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ref := randAbsorbingChain(rng, 30)
-	for _, name := range []string{BackendSORCascade, BackendILUBiCGSTAB, BackendGMRES} {
+	for _, name := range []string{BackendILUBiCGSTAB, BackendGMRES} {
 		c := refWithSolver(ref, mustBackend(t, name))
 		if _, err := c.Solve(0); err != nil {
 			t.Fatal(err)

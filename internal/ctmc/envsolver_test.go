@@ -6,7 +6,7 @@ import (
 )
 
 // TestEnvSolverResolution pins the $REPRO_SOLVER mapping: empty selects
-// auto, a registered name selects that backend.
+// auto, a backend name selects that backend.
 func TestEnvSolverResolution(t *testing.T) {
 	if got := backendForEnv("").Name(); got != BackendAuto {
 		t.Errorf("empty %s resolved to %q, want %q", SolverEnvVar, got, BackendAuto)
@@ -19,29 +19,32 @@ func TestEnvSolverResolution(t *testing.T) {
 }
 
 // TestUnknownEnvSolverFailsLoudly is the regression test for the silent
-// fallback: an unrecognized $REPRO_SOLVER value must fail the first solve
-// with an error naming the variable, the bad value, and every registered
-// backend — not quietly run "auto" while the operator believes otherwise.
+// fallback: an unrecognized $REPRO_SOLVER value — a typo, or the name of
+// the deleted sor-cascade backend — must fail the first solve with an
+// error naming the variable, the bad value, and every backend — not
+// quietly run "auto" while the operator believes otherwise.
 func TestUnknownEnvSolverFailsLoudly(t *testing.T) {
-	bad := backendForEnv("no-such-solver")
+	for _, name := range []string{"no-such-solver", "sor-cascade"} {
+		bad := backendForEnv(name)
 
-	// Directly: Solve fails with a self-explanatory error.
-	_, err := bad.Solve(&SolveContext{})
-	if err == nil {
-		t.Fatalf("%s=no-such-solver solved without error; the silent-fallback bug is back", SolverEnvVar)
-	}
-	for _, want := range append(SolverBackendNames(), SolverEnvVar, "no-such-solver") {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
+		// Directly: Solve fails with a self-explanatory error.
+		_, err := bad.Solve(&SolveContext{})
+		if err == nil {
+			t.Fatalf("%s=%s solved without error; the silent-fallback bug is back", SolverEnvVar, name)
 		}
-	}
+		for _, want := range append(SolverBackendNames(), SolverEnvVar, name) {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %q", err, want)
+			}
+		}
 
-	// Through a chain: the first transient solve surfaces the same error.
-	chain := chainFromEdges(3, [][3]float64{{0, 1, 1}, {1, 2, 1}})
-	chain.SetSolver(bad)
-	if _, err := chain.Solve(0); err == nil {
-		t.Fatal("chain with an unrecognized env solver solved without error")
-	} else if !strings.Contains(err.Error(), SolverEnvVar) {
-		t.Errorf("chain solve error %q does not mention %s", err, SolverEnvVar)
+		// Through a chain: the first transient solve surfaces the same error.
+		chain := chainFromEdges(3, [][3]float64{{0, 1, 1}, {1, 2, 1}})
+		chain.SetSolver(bad)
+		if _, err := chain.Solve(0); err == nil {
+			t.Fatalf("chain with %s=%s solved without error", SolverEnvVar, name)
+		} else if !strings.Contains(err.Error(), SolverEnvVar) {
+			t.Errorf("chain solve error %q does not mention %s", err, SolverEnvVar)
+		}
 	}
 }

@@ -24,7 +24,7 @@ var (
 func init() {
 	r := obs.Default()
 	r.CounterFunc("repro_solver_solves_total",
-		"Logical transient solves performed (each may cascade through fallbacks).",
+		"Logical transient solves performed (each may fall through the solve ladder).",
 		func() float64 { return float64(SolveCount()) })
 	r.CounterFunc("repro_solver_iterations_total",
 		"Iterative-solver iterations across all backends.",
@@ -50,14 +50,14 @@ func init() {
 		"Solves served through a delta-patched generator instead of a full re-prepare.",
 		func() float64 { return float64(PatchedSolves()) })
 	r.CounterFunc("repro_incremental_refactorizations_total",
-		"Exact block refactorizations triggered by the incremental re-solve path.",
+		"ILU(0) factorizations of delta-patched generators, made for patched solves the exact direct solve does not answer.",
 		func() float64 { return float64(Refactorizations()) })
-	for _, b := range []string{blockTriBackend, BackendSORCascade, BackendILUBiCGSTAB, BackendGMRES} {
+	for _, b := range []string{blockTriBackend, BackendILUBiCGSTAB, BackendGMRES} {
 		solveLatencyHist[b] = r.Histogram("repro_solver_solve_duration_seconds",
 			"Wall time of one transient solve, labeled by the primary backend it was routed to (blocktri-direct when the exact direct solve answered).",
 			obs.LatencyBuckets, obs.L("backend", b))
 		solveItersHist[b] = r.Histogram("repro_solver_solve_iterations",
-			"Iterations of one transient solve (all cascade rungs included), labeled by primary backend.",
+			"Iterations of one transient solve (all ladder rungs included), labeled by primary backend.",
 			obs.IterationBuckets, obs.L("backend", b))
 	}
 }

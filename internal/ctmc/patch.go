@@ -7,31 +7,24 @@ package ctmc
 // PatchedChain owns a working Chain whose pattern arrays alias a fully
 // prepared donor chain's while its value arrays are private, plus the
 // one-time scatter maps that rewrite all three value arrays in place from
-// a re-rated graph: no re-assembly, no re-transpose, no refactorization.
+// a re-rated graph: no re-assembly, no re-transpose, no symbolic analysis.
 //
-// The solve itself is two-tier. The first tier is the exact
-// block-triangular solve every "auto" full solve starts with (direct.go):
-// the SCC condensation and block layout are symbolic, computed once per
-// pattern, and each patch only marks the numeric factors stale, so the
-// next solve re-extracts the tiny dense diagonal blocks in O(nnz) before a
-// single topological sweep. Patterns too cyclic for that — or a singular
-// block at the patched rates — drop to the second tier:
-//
-// The donor's ILU(0) factors ride along as a *frozen preconditioner*: an
-// ILU factorization of a nearby matrix is still an effective (approximate)
-// preconditioner for the patched system — Krylov methods pay iterations
-// for preconditioner error, never accuracy (every backend converges to the
-// shared 1e-12 relative residual). The factors are refreshed only when the
-// value drift since factorization exceeds a budget or a solve's measured
-// iteration count blows past the post-factorization baseline; a solve
-// failure refactors once and retries before surfacing the error (the
-// caller's hard fallback is a full re-prepare).
+// The solve runs the exact block-triangular solve every "auto" full solve
+// starts with (direct.go): the SCC condensation and block layout are
+// symbolic, computed once per pattern, and each patch only marks the
+// numeric factors stale, so the next solve re-extracts the tiny dense
+// diagonal blocks in O(nnz) before a single topological sweep. A pattern
+// the direct solve declines, or a chain pinned to an explicit backend,
+// re-solves through the working chain's own solve ladder (Chain.solveVia)
+// on ILU(0) factors of the patched values; each patch drops the previous
+// factors.
 
 import (
 	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
@@ -50,23 +43,10 @@ var (
 // through the value-patched incremental path.
 func PatchedSolves() uint64 { return patchedSolves.Load() }
 
-// Refactorizations returns how many times the incremental path had to
-// refresh its frozen ILU(0) preconditioner. A healthy dense sweep keeps
-// this far below PatchedSolves.
+// Refactorizations returns how many ILU(0) factorizations patched chains
+// have made: one per patched point whose solve the exact direct solve
+// does not answer (a declined pattern, or an explicit iterative backend).
 func Refactorizations() uint64 { return refactorizations.Load() }
-
-// Preconditioner-reuse budgets. driftBudget bounds the relative L1 value
-// drift |A - A_frozen| / |A_frozen| the frozen factors are trusted across
-// (ILU(0) quality degrades gracefully with drift; 50% is far past where a
-// refresh pays for itself on the paper's operators but cheap insurance
-// against a sweep wandering into a different rate regime). iterBudget
-// bounds one solve's measured iterations against the first solve after the
-// last factorization — the direct observable of preconditioner decay.
-const (
-	patchDriftBudget = 0.5
-	patchIterFactor  = 3
-	patchIterSlack   = 24
-)
 
 // PatchedChain is a Chain whose generator values can be rewritten in place
 // against the cached CSR pattern of a donor chain. Not safe for concurrent
@@ -75,25 +55,6 @@ const (
 // PatchRates call mutates the working arrays under it.
 type PatchedChain struct {
 	chain *Chain // working chain: shared pattern, private values
-
-	// DisableDirect forces every solve down the frozen-ILU Krylov tier,
-	// skipping the exact block-triangular one (the working chain's
-	// dirSubT, shared with its own Chain-path solves). Escape hatch and
-	// test seam (the refactorization-budget properties are pinned through
-	// it); leave false in production.
-	DisableDirect bool
-
-	// Frozen ILU(0) state: the donor whose factors are adopted on first
-	// need (nil once adopted), the factors currently installed on the
-	// working chain, the subT values they were computed from (for the
-	// drift heuristic), and the iteration baseline of the first solve
-	// after the last factorization.
-	donor         *Chain
-	frozen        *linalg.ILU0
-	frozenVals    []float64
-	frozenNorm    float64
-	baselineIters uint64
-	noRefactor    bool // a refactorization attempt failed; stop trying
 
 	// One-time scatter maps, built against the donor's pattern:
 	// edgeSlot[k] is the q.Val index of the k-th non-self edge of a
@@ -112,9 +73,8 @@ type PatchedChain struct {
 // prepared donor: the donor chain's transposed sub-generator is forced, a
 // working chain is cloned with shared patterns and private value arrays,
 // and the edge→CSR scatter maps are precomputed from g — the graph the
-// donor was assembled from. The donor's ILU(0) factors become the initial
-// frozen preconditioner on the first solve that needs the Krylov tier. The
-// donor itself is never mutated and stays valid.
+// donor was assembled from. The donor itself is never mutated and stays
+// valid.
 func NewPatchedChain(donor *Chain, g *spn.Graph) (*PatchedChain, error) {
 	if g.NumStates() != donor.n {
 		return nil, fmt.Errorf("ctmc: graph has %d states, donor chain %d", g.NumStates(), donor.n)
@@ -128,16 +88,16 @@ func NewPatchedChain(donor *Chain, g *spn.Graph) (*PatchedChain, error) {
 		tIdx:      donor.tIdx,
 		tRev:      donor.tRev,
 		solver:    donor.solver,
+		patched:   true,
 	}
 	w.sub = donor.buildSub() // private, and not cached on the donor
 	w.subT = shareValuesCopy(donorSubT)
 	// The lazily-built members are pre-seeded, so mark their once-cells
-	// consumed; later refactorizations update the fields directly (the
-	// patched chain is single-goroutine by contract).
+	// consumed (the patched chain is single-goroutine by contract).
 	w.subOnce.Do(func() {})
 	w.subTOnce.Do(func() {})
 
-	pc := &PatchedChain{chain: w, donor: donor, nEdges: g.NumEdges()}
+	pc := &PatchedChain{chain: w, nEdges: g.NumEdges()}
 	if err := pc.buildScatterMaps(g); err != nil {
 		return nil, err
 	}
@@ -173,14 +133,6 @@ func shareValuesCopy(m *linalg.CSR) *linalg.CSR {
 		ColIdx: m.ColIdx,
 		Val:    append([]float64(nil), m.Val...),
 	}
-}
-
-func norm1(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
 }
 
 // buildScatterMaps precomputes every index translation PatchRates needs,
@@ -248,7 +200,9 @@ func (pc *PatchedChain) buildScatterMaps(g *spn.Graph) error {
 // built from (spn.Graph.Rerate guarantees that or fails). A non-positive
 // edge rate or a vanished exit rate means the change was structural after
 // all; the error tells the caller to fall back to a full re-prepare, and
-// the working values are unspecified until a successful re-patch.
+// the working values are unspecified until a successful re-patch. A
+// successful patch marks the direct factors stale and drops the cached
+// ILU(0) factors, which no longer match the values.
 func (pc *PatchedChain) PatchRates(g *spn.Graph) error {
 	c := pc.chain
 	q := c.q
@@ -297,98 +251,24 @@ func (pc *PatchedChain) PatchRates(g *spn.Graph) error {
 	}
 	c.dirSub.invalidate()
 	c.dirSubT.invalidate()
+	c.iluSubOnce, c.iluSub, c.iluSubErr = sync.Once{}, nil, nil
+	c.iluSubTOnce, c.iluSubT, c.iluSubTErr = sync.Once{}, nil, nil
 	return nil
 }
 
-// frozenILU is the ILU accessor handed to solver backends: the currently
-// installed frozen factors, never a fresh factorization.
-func (pc *PatchedChain) frozenILU() (*linalg.ILU0, error) {
-	if pc.frozen == nil {
-		return nil, errNoFrozenILU
-	}
-	return pc.frozen, nil
-}
-
-// errNoFrozenILU tells a Krylov backend that neither the donor's factors
-// nor a refactorization are available, so it falls back to its cascade.
-var errNoFrozenILU = errors.New("ctmc: no frozen ILU(0) factors for the patched system")
-
-// adoptDonorILU installs the donor's ILU(0) factors as the frozen
-// preconditioner the first time the Krylov tier runs: a session whose
-// solves all take the exact tier never pays for (or keeps) them.
-func (pc *PatchedChain) adoptDonorILU() {
-	donor := pc.donor
-	if donor == nil {
-		return
-	}
-	pc.donor = nil
-	f, err := donor.iluForSubT()
-	if err != nil {
-		return // frozen stays nil: the caller refactors from current values
-	}
-	pc.install(f)
-	pc.frozenVals = append(pc.frozenVals[:0], donor.subGeneratorT().Val...)
-	pc.frozenNorm = norm1(pc.frozenVals)
-}
-
-// install makes f the frozen preconditioner of the Krylov tier and of the
-// working chain's own solves.
-func (pc *PatchedChain) install(f *linalg.ILU0) {
-	pc.frozen = f
-	c := pc.chain
-	c.iluSubTOnce.Do(func() {})
-	c.iluSubT, c.iluSubTErr = f, nil
-}
-
-// refactor refreshes the frozen preconditioner from the working chain's
-// current Q_TT^T values. A factorization failure permanently disables
-// refactoring (the backends' internal cascade fallback still guarantees
-// correct answers).
-func (pc *PatchedChain) refactor() {
-	if pc.noRefactor {
-		return
-	}
-	f, err := linalg.NewILU0(pc.chain.subT)
-	if err != nil {
-		pc.noRefactor = true
-		return
-	}
-	refactorizations.Add(1)
-	pc.install(f)
-	pc.frozenVals = append(pc.frozenVals[:0], pc.chain.subT.Val...)
-	pc.frozenNorm = norm1(pc.frozenVals)
-	pc.baselineIters = 0
-}
-
-// drift returns the relative L1 distance between the working Q_TT^T values
-// and the ones the frozen factors were computed from.
-func (pc *PatchedChain) drift() float64 {
-	if pc.frozenVals == nil || pc.frozenNorm == 0 {
-		return math.Inf(1)
-	}
-	d := 0.0
-	for k, v := range pc.chain.subT.Val {
-		d += math.Abs(v - pc.frozenVals[k])
-	}
-	return d / pc.frozenNorm
-}
-
-// Solve runs the sojourn solve for the patched system, warm-started from a
-// previous full-length sojourn vector (nil for cold; the direct tier
-// ignores it — an exact sweep has no iterate to improve). The exact
-// block-triangular tier takes the solve when the pattern admits it;
-// otherwise the frozen ILU(0) factors precondition a Krylov solve and are
-// refreshed before it when value drift exceeds the budget, after it when
-// the measured iteration count blows past the post-factorization baseline,
-// and on a solve failure the refactor+retry happens once before the error
-// escapes. The returned Solution aliases the working chain: consume it
-// before the next PatchRates call.
+// Solve runs the sojourn solve for the patched system. Under "auto" the
+// exact block-triangular tier takes it when the pattern admits it; a
+// pattern the direct solve declines, and a chain pinned to an explicit
+// backend, re-solve through the working chain's own ladder (Chain.solveVia)
+// on fresh ILU(0) factors of the patched values. The returned Solution
+// aliases the working chain: consume it before the next PatchRates call.
 //
-// The solver fault probes apply here as on the ladder's primary rung: a
-// forced breakdown fails the solve outright and a forced non-finite direct
-// answer must be refused by the admission gate, so chaos runs exercise the
-// caller's fallback from a failed patched solve to a full prepare.
-func (pc *PatchedChain) Solve(init int, warm linalg.Vector) (*Solution, error) {
+// The solver fault probes apply to the direct tier as on the ladder's
+// primary rung: a forced breakdown fails the solve outright and a forced
+// non-finite direct answer must be refused by the admission gate, so chaos
+// runs exercise the caller's fallback from a failed patched solve to a
+// full prepare.
+func (pc *PatchedChain) Solve(init int) (*Solution, error) {
 	c := pc.chain
 	at, rhs, y, done, err := c.transientSystem(init)
 	if err != nil {
@@ -400,65 +280,27 @@ func (pc *PatchedChain) Solve(init int, warm linalg.Vector) (*Solution, error) {
 	if faultinject.Fire(faultinject.SolverBreakdown) {
 		return nil, errors.New("faultinject: forced solver breakdown")
 	}
-	if !pc.DisableDirect {
-		sol, passes, ok := c.dirSubT.solve(at, rhs)
+	var sol linalg.Vector
+	if c.Solver().Name() == BackendAuto {
+		x, passes, ok := c.dirSubT.solve(at, rhs)
 		addSolveIters(blockTriBackend, uint64(passes))
 		if ok && faultinject.Fire(faultinject.SolverNonFinite) {
-			sol[0] = math.NaN()
-			if err := validateSolve(at, rhs, sol); err != nil {
+			x[0] = math.NaN()
+			if err := validateSolve(at, rhs, x); err != nil {
 				return nil, err
 			}
 		}
 		if ok {
 			solveCount.Add(1)
-			patchedSolves.Add(1)
-			c.expandTransient(y, sol)
-			return &Solution{chain: c, init: init, y: y}, nil
+			sol = x
 		}
 	}
-	b := resolveBackend(c.Solver(), at)
-	krylov := b.Name() != BackendSORCascade
-	if krylov {
-		pc.adoptDonorILU()
-		if pc.frozen == nil || pc.drift() > patchDriftBudget {
-			pc.refactor()
+	if sol == nil {
+		if sol, err = c.solveVia(at, rhs, c.iluForSubT, &c.dirSubT); err != nil {
+			return nil, err
 		}
-	}
-	x0 := c.compactWarm(warm)
-	run := func() (linalg.Vector, uint64, error) {
-		var iters uint64
-		solveCount.Add(1)
-		sol, err := b.Solve(&SolveContext{A: at, B: rhs, X0: x0, ILU: pc.frozenILU, Iters: &iters})
-		return sol, iters, err
-	}
-	sol, iters, err := run()
-	if err == nil {
-		// Same admission gate as the degradation ladder: a patched system
-		// solved against frozen factors must still produce a finite vector
-		// within the residual gate before it is accepted.
-		err = validateSolve(at, rhs, sol)
-	}
-	if err != nil && krylov && !pc.noRefactor {
-		pc.refactor()
-		sol, iters, err = run()
-		if err == nil {
-			err = validateSolve(at, rhs, sol)
-		}
-	}
-	if err != nil {
-		return nil, err
 	}
 	patchedSolves.Add(1)
-	if krylov {
-		if pc.baselineIters == 0 {
-			pc.baselineIters = iters
-		} else if iters > patchIterFactor*pc.baselineIters+patchIterSlack {
-			// The preconditioner has decayed past the budget: refresh it
-			// now so the *next* point solves fast again (this answer is
-			// already converged to tolerance).
-			pc.refactor()
-		}
-	}
 	c.expandTransient(y, sol)
 	return &Solution{chain: c, init: init, y: y}, nil
 }

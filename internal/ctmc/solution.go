@@ -7,16 +7,16 @@ import (
 	"repro/internal/linalg"
 )
 
-// solveCount counts invocations of the transient linear-solve cascade. The
-// evaluation engine's tests use it to assert that one Analyze performs
-// exactly one solve; it deliberately counts solve() entries, not the
-// individual SOR/BiCGSTAB/LU attempts inside the cascade.
+// solveCount counts logical transient linear solves. The evaluation
+// engine's tests use it to assert that one Analyze performs exactly one
+// solve; it deliberately counts solves, not the individual rungs of the
+// solve ladder.
 var solveCount atomic.Uint64
 
-// solveIters accumulates the iteration counts reported by the iterative
-// solvers inside the cascade (SOR sweeps plus BiCGSTAB steps when the
-// fallback runs). The benchmark harness divides its delta by the solve
-// count to report iterations per solve.
+// solveIters accumulates the iteration counts reported by the solve
+// ladder's rungs (direct-solve refinement passes plus Krylov steps). The
+// benchmark harness divides its delta by the solve count to report
+// iterations per solve.
 var solveIters atomic.Uint64
 
 // SolveCount returns the cumulative number of transient linear solves
@@ -24,7 +24,7 @@ var solveIters atomic.Uint64
 func SolveCount() uint64 { return solveCount.Load() }
 
 // SolveIterations returns the cumulative number of iterative-solver
-// iterations spent inside the transient solve cascade.
+// iterations spent inside the transient solve ladder.
 func SolveIterations() uint64 { return solveIters.Load() }
 
 // Solution captures one sojourn-time solve of a chain for a fixed initial
@@ -41,17 +41,7 @@ type Solution struct {
 // Solve performs the single transient solve for a chain started in init
 // and returns the Solution all downstream metrics derive from.
 func (c *Chain) Solve(init int) (*Solution, error) {
-	return c.SolveFrom(init, nil)
-}
-
-// SolveFrom is Solve with a warm-start guess: warm is a previous
-// Solution's sojourn vector (Solution.SojournTimes) over a chain with the
-// same state numbering, typically the neighbouring point of a parameter
-// sweep. A vector of the wrong length is ignored (cold start); the
-// solution itself is tolerance-identical either way — warm starts buy
-// iterations, not different answers.
-func (c *Chain) SolveFrom(init int, warm linalg.Vector) (*Solution, error) {
-	y, err := c.SojournTimesFrom(init, warm)
+	y, err := c.SojournTimes(init)
 	if err != nil {
 		return nil, err
 	}

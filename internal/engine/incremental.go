@@ -16,8 +16,8 @@ import (
 // first miss of a chunk pays a full prepare (cached in the prepared LRU)
 // and anchors the session; every later rate-only miss re-rates the shared
 // graph, patches the cached generator pattern in place, and re-solves
-// through the session's reused factorization (exact block-triangular,
-// frozen-ILU Krylov fallback). Cache hits cost nothing, exactly as in
+// through the session's reused exact block-triangular factorization (or
+// the working chain's ILU(0)-BiCGSTAB ladder for a pattern it declines). Cache hits cost nothing, exactly as in
 // EvalBatch, and every fresh Result is recorded in the Result cache.
 // Per-point errors are joined, order is preserved, and the context is
 // checked before each point like EvalBatchContext.

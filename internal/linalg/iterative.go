@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "errors"
 
 // ErrNoConvergence is returned when an iterative solver exhausts its
 // iteration budget before meeting the requested tolerance.
@@ -12,12 +8,10 @@ var ErrNoConvergence = errors.New("linalg: iterative solver did not converge")
 
 // IterOpts configures the iterative solvers. Zero values select defaults.
 type IterOpts struct {
-	// MaxIter bounds the number of sweeps (default 20000).
+	// MaxIter bounds the number of iterations (default 20000).
 	MaxIter int
 	// Tol is the relative residual target ||Ax-b|| / ||b|| (default 1e-12).
 	Tol float64
-	// Omega is the SOR relaxation factor in (0, 2); default 1 (Gauss-Seidel).
-	Omega float64
 	// X0 optionally provides a starting guess; it is not modified.
 	X0 Vector
 }
@@ -29,209 +23,10 @@ func (o *IterOpts) defaults() {
 	if o.Tol == 0 {
 		o.Tol = 1e-12
 	}
-	if o.Omega == 0 {
-		o.Omega = 1
-	}
 }
 
 // IterResult reports solver statistics.
 type IterResult struct {
 	Iterations int
 	Residual   float64 // final relative residual
-}
-
-// SolveSOR solves A x = b with successive over-relaxation (Gauss-Seidel when
-// Omega == 1). A must be square with nonzero diagonal. The generator-matrix
-// systems produced by the CTMC package are irreducibly diagonally dominant,
-// for which SOR converges.
-func SolveSOR(a *CSR, b Vector, opts IterOpts) (Vector, IterResult, error) {
-	opts.defaults()
-	n := a.Rows
-	if a.Cols != n {
-		return nil, IterResult{}, fmt.Errorf("linalg: SolveSOR requires square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if len(b) != n {
-		return nil, IterResult{}, fmt.Errorf("linalg: SolveSOR rhs length %d, want %d", len(b), n)
-	}
-	diagIdx := a.DiagIndices()
-	for i, di := range diagIdx {
-		if di < 0 || a.Val[di] == 0 {
-			return nil, IterResult{}, fmt.Errorf("linalg: SolveSOR zero diagonal at row %d", i)
-		}
-	}
-	x := NewVector(n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, IterResult{}, fmt.Errorf("linalg: SolveSOR X0 length %d, want %d", len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
-	bNorm := b.Norm2()
-	if bNorm == 0 {
-		bNorm = 1
-	}
-	var it int
-	for it = 1; it <= opts.MaxIter; it++ {
-		sorSweep(a, diagIdx, b, x, opts.Omega)
-		// Check the true residual every few sweeps to amortize the matvec;
-		// the fused ResidualNorm folds the matvec and the norm into one
-		// pass with no residual vector.
-		if it%4 == 0 || it == opts.MaxIter {
-			r := ResidualNorm(a, x, b) / bNorm
-			if r <= opts.Tol {
-				return x, IterResult{Iterations: it, Residual: r}, nil
-			}
-			if math.IsNaN(r) || math.IsInf(r, 0) {
-				return nil, IterResult{Iterations: it, Residual: r},
-					fmt.Errorf("linalg: SolveSOR diverged at iteration %d", it)
-			}
-		}
-	}
-	r := ResidualNorm(a, x, b) / bNorm
-	return x, IterResult{Iterations: opts.MaxIter, Residual: r}, ErrNoConvergence
-}
-
-// sorSweep performs one in-place SOR sweep over x. The inner loop indexes
-// the CSR arrays directly and skips the diagonal by its precomputed entry
-// index; it allocates nothing (pinned by TestSORSweepAllocs).
-func sorSweep(a *CSR, diagIdx []int, b, x Vector, omega float64) {
-	rowPtr, colIdx, val := a.RowPtr, a.ColIdx, a.Val
-	for i := 0; i < a.Rows; i++ {
-		s := b[i]
-		di := diagIdx[i]
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			if k != di {
-				s -= val[k] * x[colIdx[k]]
-			}
-		}
-		xi := s / val[di]
-		x[i] += omega * (xi - x[i])
-	}
-}
-
-// SolveJacobi solves A x = b with the Jacobi iteration. Slower than SOR but
-// embarrassingly order-independent; kept for cross-checking.
-func SolveJacobi(a *CSR, b Vector, opts IterOpts) (Vector, IterResult, error) {
-	opts.defaults()
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		return nil, IterResult{}, fmt.Errorf("linalg: SolveJacobi dimension mismatch")
-	}
-	diagIdx := a.DiagIndices()
-	for i, di := range diagIdx {
-		if di < 0 || a.Val[di] == 0 {
-			return nil, IterResult{}, fmt.Errorf("linalg: SolveJacobi zero diagonal at row %d", i)
-		}
-	}
-	x := NewVector(n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, IterResult{}, fmt.Errorf("linalg: SolveJacobi X0 length %d, want %d", len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
-	next := NewVector(n)
-	bNorm := b.Norm2()
-	if bNorm == 0 {
-		bNorm = 1
-	}
-	rowPtr, colIdx, val := a.RowPtr, a.ColIdx, a.Val
-	for it := 1; it <= opts.MaxIter; it++ {
-		for i := 0; i < n; i++ {
-			s := b[i]
-			di := diagIdx[i]
-			for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-				if k != di {
-					s -= val[k] * x[colIdx[k]]
-				}
-			}
-			next[i] = s / val[di]
-		}
-		x, next = next, x
-		if it%8 == 0 || it == opts.MaxIter {
-			r := ResidualNorm(a, x, b) / bNorm
-			if r <= opts.Tol {
-				return x, IterResult{Iterations: it, Residual: r}, nil
-			}
-		}
-	}
-	return x, IterResult{Iterations: opts.MaxIter, Residual: ResidualNorm(a, x, b) / bNorm}, ErrNoConvergence
-}
-
-// SolveBiCGSTAB solves a general (possibly non-symmetric) sparse system with
-// the stabilized bi-conjugate gradient method. Used as a fallback when the
-// stationary iterations stall.
-func SolveBiCGSTAB(a *CSR, b Vector, opts IterOpts) (Vector, IterResult, error) {
-	opts.defaults()
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		return nil, IterResult{}, fmt.Errorf("linalg: SolveBiCGSTAB dimension mismatch")
-	}
-	x := NewVector(n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, IterResult{}, fmt.Errorf("linalg: SolveBiCGSTAB X0 length %d, want %d", len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
-	r := NewVector(n)
-	a.MulVecTo(r, x)
-	r.Sub(b, r)
-	rHat := r.Clone()
-	bNorm := b.Norm2()
-	if bNorm == 0 {
-		bNorm = 1
-	}
-	rho, alpha, omega := 1.0, 1.0, 1.0
-	v := NewVector(n)
-	p := NewVector(n)
-	s := NewVector(n)
-	t := NewVector(n)
-	for it := 1; it <= opts.MaxIter; it++ {
-		rhoNext := rHat.Dot(r)
-		if rhoNext == 0 {
-			return x, IterResult{Iterations: it, Residual: r.Norm2() / bNorm},
-				fmt.Errorf("linalg: BiCGSTAB breakdown (rho=0) at iteration %d", it)
-		}
-		beta := (rhoNext / rho) * (alpha / omega)
-		rho = rhoNext
-		for i := range p {
-			p[i] = r[i] + beta*(p[i]-omega*v[i])
-		}
-		a.MulVecTo(v, p)
-		den := rHat.Dot(v)
-		if den == 0 {
-			return x, IterResult{Iterations: it, Residual: r.Norm2() / bNorm},
-				fmt.Errorf("linalg: BiCGSTAB breakdown (rHat.v=0) at iteration %d", it)
-		}
-		alpha = rho / den
-		for i := range s {
-			s[i] = r[i] - alpha*v[i]
-		}
-		if sn := s.Norm2() / bNorm; sn <= opts.Tol {
-			x.AXPY(alpha, p)
-			return x, IterResult{Iterations: it, Residual: sn}, nil
-		}
-		a.MulVecTo(t, s)
-		tt := t.Dot(t)
-		if tt == 0 {
-			return x, IterResult{Iterations: it, Residual: s.Norm2() / bNorm},
-				fmt.Errorf("linalg: BiCGSTAB breakdown (t=0) at iteration %d", it)
-		}
-		omega = t.Dot(s) / tt
-		for i := range x {
-			x[i] += alpha*p[i] + omega*s[i]
-		}
-		for i := range r {
-			r[i] = s[i] - omega*t[i]
-		}
-		if rn := r.Norm2() / bNorm; rn <= opts.Tol {
-			return x, IterResult{Iterations: it, Residual: rn}, nil
-		}
-		if omega == 0 {
-			return x, IterResult{Iterations: it, Residual: r.Norm2() / bNorm},
-				fmt.Errorf("linalg: BiCGSTAB breakdown (omega=0) at iteration %d", it)
-		}
-	}
-	return x, IterResult{Iterations: opts.MaxIter, Residual: r.Norm2() / bNorm}, ErrNoConvergence
 }

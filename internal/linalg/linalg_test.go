@@ -338,101 +338,9 @@ func laplace1D(n int) *CSR {
 	return b.Build()
 }
 
-func TestSORSolvesLaplace(t *testing.T) {
-	n := 64
-	a := laplace1D(n)
-	xTrue := NewVector(n)
-	rng := rand.New(rand.NewSource(4))
-	for i := range xTrue {
-		xTrue[i] = rng.NormFloat64()
-	}
-	bvec := a.MulVec(xTrue)
-	x, res, err := SolveSOR(a, bvec, IterOpts{Tol: 1e-11, MaxIter: 100000, Omega: 1.6})
-	if err != nil {
-		t.Fatalf("SolveSOR: %v (res=%v)", err, res)
-	}
-	if !vecApprox(x, xTrue, 1e-6) {
-		t.Fatal("SOR solution mismatch")
-	}
-}
-
-func TestGaussSeidelMatchesLU(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 25
-	// Diagonally dominant random sparse system.
-	sb := NewSparseBuilder(n, n)
-	dd := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		rowSum := 0.0
-		for e := 0; e < 4; e++ {
-			j := rng.Intn(n)
-			if j == i {
-				continue
-			}
-			v := rng.NormFloat64()
-			sb.Add(i, j, v)
-			dd.Add(i, j, v)
-			rowSum += math.Abs(v)
-		}
-		d := rowSum + 1
-		sb.Add(i, i, d)
-		dd.Add(i, i, d)
-	}
-	a := sb.Build()
-	bvec := NewVector(n)
-	for i := range bvec {
-		bvec[i] = rng.NormFloat64()
-	}
-	xLU, err := SolveDense(dd, bvec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xGS, _, err := SolveSOR(a, bvec, IterOpts{})
-	if err != nil {
-		t.Fatalf("SolveSOR: %v", err)
-	}
-	if !vecApprox(xGS, xLU, 1e-8) {
-		t.Fatal("Gauss-Seidel disagrees with LU")
-	}
-	xJ, _, err := SolveJacobi(a, bvec, IterOpts{MaxIter: 100000})
-	if err != nil {
-		t.Fatalf("SolveJacobi: %v", err)
-	}
-	if !vecApprox(xJ, xLU, 1e-7) {
-		t.Fatal("Jacobi disagrees with LU")
-	}
-	xB, _, err := SolveBiCGSTAB(a, bvec, IterOpts{})
-	if err != nil {
-		t.Fatalf("SolveBiCGSTAB: %v", err)
-	}
-	if !vecApprox(xB, xLU, 1e-7) {
-		t.Fatal("BiCGSTAB disagrees with LU")
-	}
-}
-
-func TestSORZeroDiagonalError(t *testing.T) {
-	b := NewSparseBuilder(2, 2)
-	b.Add(0, 1, 1)
-	b.Add(1, 0, 1)
-	if _, _, err := SolveSOR(b.Build(), Vector{1, 1}, IterOpts{}); err == nil {
-		t.Fatal("SolveSOR accepted zero diagonal")
-	}
-}
-
-func TestSORNoConvergence(t *testing.T) {
-	// Very tight tolerance with tiny iteration budget must report
-	// ErrNoConvergence rather than pretending success.
-	a := laplace1D(128)
-	bvec := ConstVector(128, 1)
-	_, _, err := SolveSOR(a, bvec, IterOpts{MaxIter: 2, Tol: 1e-15})
-	if err == nil {
-		t.Fatal("expected non-convergence error")
-	}
-}
-
 func TestBiCGSTABZeroRHS(t *testing.T) {
 	a := laplace1D(8)
-	x, _, err := SolveBiCGSTAB(a, NewVector(8), IterOpts{})
+	x, _, err := SolvePrecBiCGSTAB(a, NewVector(8), nil, IterOpts{})
 	if err != nil {
 		// A zero RHS with zero x0 gives rho=0 breakdown; either a zero
 		// solution or a breakdown with zero residual is acceptable.

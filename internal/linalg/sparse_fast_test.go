@@ -130,28 +130,3 @@ func TestDiagIndices(t *testing.T) {
 		}
 	}
 }
-
-// TestSORSweepAllocs pins the zero-allocation contract of the SOR inner
-// loop: once the solver's workspace exists, sweeps allocate nothing.
-func TestSORSweepAllocs(t *testing.T) {
-	n := 200
-	b := NewSparseBuilder(n, n)
-	for i := 0; i < n; i++ {
-		b.Add(i, i, 4)
-		if i > 0 {
-			b.Add(i, i-1, -1)
-		}
-		if i < n-1 {
-			b.Add(i, i+1, -1)
-		}
-	}
-	a := b.Build()
-	diagIdx := a.DiagIndices()
-	rhs := ConstVector(n, 1)
-	x := NewVector(n)
-	if allocs := testing.AllocsPerRun(100, func() {
-		sorSweep(a, diagIdx, rhs, x, 1)
-	}); allocs != 0 {
-		t.Fatalf("sorSweep allocates %v per sweep, want 0", allocs)
-	}
-}

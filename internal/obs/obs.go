@@ -125,8 +125,8 @@ var LatencyBuckets = []float64{
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// IterationBuckets covers iterative-solver iteration counts from a warm
-// one-step convergence to the 40k cap of the SOR cascade.
+// IterationBuckets covers iterative-solver iteration counts from one-step
+// convergence to the 40k iteration cap of the Krylov solvers.
 var IterationBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 40000}
 
 // Kind identifies a metric family's type in the exposition output.

@@ -146,9 +146,10 @@ func TestClusterSweepMatchesSingleNode(t *testing.T) {
 	for i := range want {
 		wantJSON, _ := json.Marshal(want[i])
 		gotJSON, _ := json.Marshal(got[i])
-		// 1e-9 relative: the incremental solver's warm-start state makes
-		// the last couple of ULPs order-dependent; the ring only changes
-		// which node solves a point, never the model.
+		// 1e-9 relative: whether a point is patched onto a pooled session
+		// or fully prepared depends on evaluation order and moves the last
+		// couple of ULPs; the ring only changes which node solves a point,
+		// never the model.
 		if !bytes.Equal(wantJSON, gotJSON) && !approxJSON(gotJSON, wantJSON, 1e-9) {
 			t.Errorf("point %d: cluster result diverged beyond 1e-9 from single-node:\n cluster %s\n single  %s", i, gotJSON, wantJSON)
 		}
@@ -314,9 +315,10 @@ func TestClusterKillRejoinResync(t *testing.T) {
 	for i := range want {
 		wantJSON, _ := json.Marshal(want[i])
 		gotJSON, _ := json.Marshal(got[i])
-		// 1e-9 relative, same bar as the chaos matrix: the incremental
-		// solver's process-global warm-start state legitimately perturbs
-		// the last couple of ULPs depending on evaluation order.
+		// 1e-9 relative, same bar as the chaos matrix: whether a point is
+		// patched onto a pooled session or fully prepared depends on
+		// evaluation order and legitimately perturbs the last couple of
+		// ULPs.
 		if !bytes.Equal(wantJSON, gotJSON) && !approxJSON(gotJSON, wantJSON, 1e-9) {
 			t.Errorf("point %d: kill-mid-sweep result diverged beyond 1e-9 from single-node:\n cluster %s\n single  %s", i, gotJSON, wantJSON)
 		}
