@@ -60,16 +60,16 @@ type Result = core.Result
 type SweepPoint = core.SweepPoint
 
 // SweepOpts is the legacy options struct of the grid sweeps. Its fields no
-// longer select anything: every sweep takes the parallel incremental path.
+// longer select anything: every sweep takes the engine's patched miss
+// path.
 //
 // Deprecated: call SweepTIDS/ExploreDesignSpace/TradeoffFrontier with
 // functional options (WithContext) instead.
 type SweepOpts = core.SweepOpts
 
 // SweepOption configures a grid driver (SweepTIDS, ExploreDesignSpace,
-// TradeoffFrontier). Every driver evaluates its points in parallel
-// incremental chunks whatever the options; only WithContext changes
-// behaviour.
+// TradeoffFrontier). Every driver fans its points over the default engine
+// whatever the options; only WithContext changes behaviour.
 type SweepOption = core.SweepOption
 
 // WithWarmStart is accepted for compatibility and has no effect: every
@@ -78,8 +78,8 @@ type SweepOption = core.SweepOption
 func WithWarmStart() SweepOption { return core.WithWarmStart() }
 
 // WithIncremental is accepted for compatibility and has no effect: every
-// sweep already runs its chunks through the incremental patch+re-solve
-// path (rate-only generator patches on a shared factorization).
+// engine miss already takes the incremental patch+re-solve path
+// (rate-only generator patches on a shared reachability graph).
 func WithIncremental() SweepOption { return core.WithIncremental() }
 
 // WithContext makes the driver honor ctx: evaluation stops with ctx.Err()
@@ -297,11 +297,11 @@ var PaperTIDSGrid = core.PaperTIDSGrid
 var PaperMGrid = core.PaperMGrid
 
 // SweepTIDS evaluates the model across a grid of detection intervals. The
-// grid splits into contiguous chunks — one per engine worker, but none
-// shorter than six points — and the chunks run in parallel; within a chunk the first point pays a full prepare and
-// every later point is patched onto its graph and re-solved. Points the
-// engine has already evaluated are cache hits. WithContext makes the
-// sweep cancelable between points.
+// points run in parallel over the engine's workers; the first miss of the
+// grid's structural family pays a full prepare and every later one is
+// patched onto its graph and re-solved. Points the engine has already
+// evaluated are cache hits. WithContext makes the sweep cancelable
+// between points.
 func SweepTIDS(cfg Config, grid []float64, opts ...SweepOption) ([]SweepPoint, error) {
 	return core.SweepTIDS(cfg, grid, opts...)
 }
@@ -368,7 +368,7 @@ func TradeoffFrontier(cfg Config, space DesignSpace, opts ...SweepOption) ([]Des
 
 // ExploreDesignSpace evaluates every point of the design space (sorted by
 // ascending Ĉtotal), without the frontier filter, through the same
-// parallel incremental chunks as SweepTIDS. It accepts the same options.
+// patched engine misses as SweepTIDS. It accepts the same options.
 func ExploreDesignSpace(cfg Config, space DesignSpace, opts ...SweepOption) ([]DesignPoint, error) {
 	return core.ExploreDesignSpace(cfg, space, opts...)
 }
@@ -491,15 +491,13 @@ func ClassifyDelta(a, b Config) DeltaKind { return core.ClassifyDelta(a, b) }
 // share one reachability graph and generator pattern.
 func StructuralKey(cfg Config) string { return core.StructuralKey(cfg) }
 
-// EvalBatchIncremental evaluates a batch through the incremental re-solve
-// path: points are grouped by structural family, each family is cut into
-// contiguous chunks (one per engine worker, none shorter than six points)
-// that run in parallel, and each chunk patches the
-// cached generator in place and re-solves through its reused
-// factorization instead of re-preparing per point. Results are
-// tolerance-identical to EvalBatch.
+// EvalBatchIncremental is EvalBatchContext. Every engine miss already
+// patches a pooled session of its structural family and re-solves instead
+// of re-preparing, so the incremental path needs no entry of its own.
+//
+// Deprecated: call EvalBatchContext.
 func EvalBatchIncremental(ctx context.Context, cfgs []Config) ([]*Result, error) {
-	return engine.Default().EvalBatchIncremental(ctx, cfgs)
+	return EvalBatchContext(ctx, cfgs)
 }
 
 // ParamSensitivity is one parameter's forward sensitivity: dMTTSF/dθ and

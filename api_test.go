@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // apiConfig is a fast configuration for API-level tests.
@@ -354,5 +356,66 @@ func TestPublicClientOptions(t *testing.T) {
 	}
 	if c := NewResilientClient("http://127.0.0.1:1", nil, RetryPolicy{}); c == nil {
 		t.Fatal("NewResilientClient returned nil")
+	}
+}
+
+// TestEvalBatchIncrementalMatchesEvalBatch pins the deprecated incremental
+// batch entry's contract: a batch spanning two structural families
+// (different N) and several rate-only points per family returns, in order,
+// exactly what EvalBatch and a full prepare per point return.
+func TestEvalBatchIncrementalMatchesEvalBatch(t *testing.T) {
+	var cfgs []Config
+	for _, n := range []int{10, 12} {
+		for _, tids := range []float64{5, 60, 120, 480, 1200} {
+			cfg := DefaultConfig()
+			cfg.N = n
+			cfg.TIDS = tids
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	got, err := EvalBatchIncremental(context.Background(), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := EvalBatch(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(cfgs) || len(batch) != len(cfgs) {
+		t.Fatalf("got %d and %d results, want %d", len(got), len(batch), len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		want, err := core.Analyze(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] == nil {
+			t.Fatalf("point %d: nil result", i)
+		}
+		if got[i].MTTSF != want.MTTSF || got[i].Ctotal != want.Ctotal {
+			t.Errorf("point %d: incremental (%v, %v) vs full prepare (%v, %v)", i, got[i].MTTSF, got[i].Ctotal, want.MTTSF, want.Ctotal)
+		}
+		if got[i].MTTSF != batch[i].MTTSF || got[i].Ctotal != batch[i].Ctotal {
+			t.Errorf("point %d: incremental (%v, %v) vs EvalBatch (%v, %v)", i, got[i].MTTSF, got[i].Ctotal, batch[i].MTTSF, batch[i].Ctotal)
+		}
+		if got[i].Config.TIDS != cfg.TIDS || got[i].Config.N != cfg.N {
+			t.Errorf("point %d: result order broken (got N=%d TIDS=%v)", i, got[i].Config.N, got[i].Config.TIDS)
+		}
+	}
+}
+
+// TestEvalBatchIncrementalCanceled pins cancellation: a pre-canceled
+// context evaluates nothing and reports the cancellation per point.
+func TestEvalBatchIncrementalCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := DefaultConfig()
+	cfg.N, cfg.TIDS = 11, 123.456 // a point no other test caches
+	res, err := EvalBatchIncremental(ctx, []Config{cfg})
+	if err == nil {
+		t.Fatal("canceled batch returned no error")
+	}
+	if res[0] != nil {
+		t.Fatal("canceled batch returned a result")
 	}
 }

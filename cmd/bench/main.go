@@ -462,11 +462,12 @@ func backendMatrixWorkloads(n int) []Result {
 }
 
 // sweepWorkloads measures the full evaluation pipeline over the paper's
-// TIDS grid at size n: through the memoization-free Direct path, with and
-// without the WithWarmStart spelling (sweep_cold and sweep_warm; every
-// sweep now takes the chunked incremental path, so the two measure the
-// same work and are kept for trajectory continuity), and through a fresh
-// memoizing engine per op.
+// TIDS grid at size n: through the memoization-free Direct path, which
+// prepares every point in full, with and without the WithWarmStart
+// spelling (sweep_cold and sweep_warm; the option changes nothing, so the
+// two measure the same work and are kept for trajectory continuity), and
+// through a fresh memoizing engine per op, which explores once and
+// patches every later point.
 func sweepWorkloads(n int) []Result {
 	cfg := core.DefaultConfig()
 	cfg.N = n
@@ -510,18 +511,18 @@ func denseTIDSGrid(points int, lo, hi float64) []float64 {
 }
 
 // incrementalWorkloads measures a dense 64-point rate-only TIDS sweep at
-// size n through the Direct evaluator under the two legacy option
-// spellings, WithWarmStart (sweep_warm_dense) and WithIncremental
-// (sweep_incremental). Both now take the same chunked incremental path:
-// the first point of each chunk pays a full prepare, every later point
-// re-rates the shared graph, patches the cached generator pattern in
-// place, and re-solves — exactly, through the reused SCC-condensed
-// block-triangular factorization, or through the working chain's
-// ILU(0)-BiCGSTAB ladder when the pattern is too cyclic for it. Both run
-// memoization-free, so the speedup is per-point algorithmic cost, not
-// caching. Before timing, the incremental sweep is checked point-for-point
-// against a full prepare per point (core.Analyze) to 1e-10 relative — the
-// incremental numbers mean nothing unless the results are identical.
+// size n twice. sweep_warm_dense runs it through the Direct evaluator, a
+// full prepare per point, as the unpatched reference. sweep_incremental
+// runs it through a fresh engine per op, so nothing is a cache hit: the
+// first point pays a full prepare and every later point re-rates the
+// shared graph, patches the cached generator pattern in place, and
+// re-solves — exactly, through the reused SCC-condensed block-triangular
+// factorization, or through the working chain's ILU(0)-BiCGSTAB ladder
+// when the pattern is too cyclic for it. The ratio of the two is the
+// per-point algorithmic saving, not caching. Before timing, the
+// incremental sweep is checked point-for-point against a full prepare per
+// point (core.Analyze) to 1e-10 relative — the incremental numbers mean
+// nothing unless the results are identical.
 func incrementalWorkloads(n int) []Result {
 	cfg := core.DefaultConfig()
 	cfg.N = n
@@ -529,8 +530,13 @@ func incrementalWorkloads(n int) []Result {
 
 	prev := core.SetDefaultEvaluator(core.Direct{})
 	defer core.SetDefaultEvaluator(prev)
+	incremental := func() ([]core.SweepPoint, error) {
+		prev := core.SetDefaultEvaluator(engine.New(engine.Options{}))
+		defer core.SetDefaultEvaluator(prev)
+		return core.SweepTIDSOpts(cfg, grid, core.SweepOpts{Incremental: true})
+	}
 
-	incPts, err := core.SweepTIDSOpts(cfg, grid, core.SweepOpts{Incremental: true})
+	incPts, err := incremental()
 	if err != nil {
 		fatal(err)
 	}
@@ -558,7 +564,7 @@ func incrementalWorkloads(n int) []Result {
 	ops := 0
 	rInc := measureSolves("sweep_incremental", n, func() {
 		ops++
-		if _, err := core.SweepTIDSOpts(cfg, grid, core.SweepOpts{Incremental: true}); err != nil {
+		if _, err := incremental(); err != nil {
 			fatal(err)
 		}
 	})

@@ -21,20 +21,9 @@ type Evaluator interface {
 	// on error the returned error wraps every failing point's error and
 	// results may be partially filled.
 	EvalBatch(cfgs []Config) ([]*Result, error)
-	// Prepared returns the built (and possibly cached) model/graph/chain
-	// for cfg, without forcing the solve: a DeltaSession anchors on it and
-	// patches later grid points instead of re-preparing them.
-	Prepared(cfg Config) (*Prepared, error)
-	// EvalWith evaluates cfg, calling prepare for the built (and
-	// typically patched and solved) evaluation state only when no recorded
-	// Result exists: the memoizing engine serves repeats straight from
-	// its result cache — skipping the rebuild and solve entirely — and
-	// records fresh points so later Evals hit. The returned Result is
-	// the caller's own copy.
-	EvalWith(cfg Config, prepare func() (*Prepared, error)) (*Result, error)
 	// WorkerBound reports the batch-parallelism cap (0 means GOMAXPROCS),
-	// so drivers that fan work out themselves — the incremental sweep
-	// chunks — honor the same bound EvalBatch does.
+	// so drivers that fan work out themselves — the grid sweeps — honor
+	// the same bound EvalBatch does.
 	WorkerBound() int
 }
 
@@ -62,7 +51,8 @@ func SetDefaultEvaluator(ev Evaluator) Evaluator {
 	return prev
 }
 
-// Direct is the memoization-free Evaluator: every Eval builds the SPN,
+// Direct is the memoization-free Evaluator and the unpatched oracle the
+// engine's equivalence tests compare against: every Eval builds the SPN,
 // explores the graph, and solves the CTMC. EvalBatch runs a bounded worker
 // pool — workers, not goroutine-per-point — so a 10k-point grid spawns
 // GOMAXPROCS goroutines, not 10k.
@@ -74,25 +64,6 @@ type Direct struct {
 // Eval implements Evaluator.
 func (d Direct) Eval(cfg Config) (*Result, error) { return Analyze(cfg) }
 
-// Prepared implements Evaluator: a fresh build every call.
-func (d Direct) Prepared(cfg Config) (*Prepared, error) { return Prepare(cfg) }
-
-// EvalWith implements Evaluator: Direct records nothing, so it
-// always prepares and derives the Result from the (memoized) solve.
-func (d Direct) EvalWith(cfg Config, prepare func() (*Prepared, error)) (*Result, error) {
-	p, err := prepare()
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.Analyze()
-	if err != nil {
-		return nil, err
-	}
-	r := *res
-	r.Config = cfg
-	return &r, nil
-}
-
 // WorkerBound implements Evaluator.
 func (d Direct) WorkerBound() int { return d.Workers }
 
@@ -103,8 +74,8 @@ func (d Direct) EvalBatch(cfgs []Config) ([]*Result, error) {
 
 // ForEachIndexed runs fn(i) for every i in [0, n) over at most workers
 // goroutines (0 means GOMAXPROCS) — the one bounded indexed fan-out every
-// batch driver shares (RunBatch, the incremental sweep chunks, the
-// evaluation service's per-point batch dispatch, bench client pools).
+// batch driver shares (RunBatch, the evaluation service's per-point batch
+// dispatch, bench client pools).
 func ForEachIndexed(n, workers int, fn func(int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

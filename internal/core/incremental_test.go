@@ -264,45 +264,3 @@ func TestIncrementalSweepMatchesCold(t *testing.T) {
 		}
 	}
 }
-
-// TestCutChunks pins EvalIncremental's chunking rule: a group is cut into
-// min(workers, len/minChunkPoints) contiguous, near-equal chunks covering
-// every index once, so no chunk is shorter than minChunkPoints and a
-// group too short to split stays one sequential walk.
-func TestCutChunks(t *testing.T) {
-	for _, tc := range []struct {
-		n, workers int
-		lens       []int
-	}{
-		{1, 4, []int{1}},
-		{5, 4, []int{5}},
-		{11, 16, []int{11}},
-		{12, 1, []int{12}},
-		{12, 4, []int{6, 6}},
-		{24, 2, []int{12, 12}},
-		{24, 16, []int{6, 6, 6, 6}},
-		{25, 3, []int{8, 8, 9}},
-		{36, 16, []int{6, 6, 6, 6, 6, 6}},
-	} {
-		idx := make([]int, tc.n)
-		for i := range idx {
-			idx[i] = 10 + i
-		}
-		chunks := cutChunks(idx, tc.workers)
-		next := 10
-		for c, chunk := range chunks {
-			if c >= len(tc.lens) || len(chunk) != tc.lens[c] {
-				t.Fatalf("n=%d workers=%d: chunk %d has %d points, want lengths %v", tc.n, tc.workers, c, len(chunk), tc.lens)
-			}
-			for _, i := range chunk {
-				if i != next {
-					t.Fatalf("n=%d workers=%d: chunk %d holds index %d, want %d", tc.n, tc.workers, c, i, next)
-				}
-				next++
-			}
-		}
-		if len(chunks) != len(tc.lens) || next != 10+tc.n {
-			t.Fatalf("n=%d workers=%d: %d chunks covering %d points, want lengths %v", tc.n, tc.workers, len(chunks), next-10, tc.lens)
-		}
-	}
-}

@@ -7,8 +7,8 @@ import (
 
 // SweepOption configures how a grid driver (SweepTIDS, ExploreDesignSpace,
 // TradeoffFrontier) evaluates its points. Options compose left to right.
-// Every driver takes the parallel incremental path (EvalIncremental)
-// whatever the options; only WithContext changes behaviour.
+// Every driver fans its points over the default evaluator whatever the
+// options; only WithContext changes behaviour.
 type SweepOption func(*sweepConfig)
 
 // sweepConfig is the resolved option set.
@@ -22,9 +22,9 @@ func WithWarmStart() SweepOption {
 	return func(*sweepConfig) {}
 }
 
-// WithIncremental is kept for compatibility and has no effect: every
-// sweep already runs its chunks through the patch+re-solve path
-// (PreparedDelta).
+// WithIncremental is kept for compatibility and has no effect: under the
+// memoizing engine every miss already patches a session of its
+// structural family and re-solves (PreparedDelta).
 func WithIncremental() SweepOption {
 	return func(*sweepConfig) {}
 }

@@ -72,13 +72,12 @@ func (d DesignSpace) Enumerate(base Config) []Config {
 // ExploreDesignSpace evaluates every grid point and returns all points
 // (sorted by ascending Ĉtotal). Every point of a design space shares one
 // reachability graph (m, TIDS and the detection shape only move rates), so
-// the grid goes through the incremental sweep driver like SweepTIDS:
-// contiguous chunks of the (m, TIDS, detection) enumeration, one per
-// evaluator worker but none shorter than minChunkPoints, patched and
-// re-solved point by point. Design spaces overlap
-// heavily with the TIDS sweeps of the figures, so with the memoizing
-// engine installed most points are cache hits. WithContext makes it
-// cancelable between points.
+// the grid goes through the same driver as SweepTIDS: the points fan out
+// over the default evaluator, and under the memoizing engine the first
+// miss explores while every later one patches and re-solves. Design
+// spaces overlap heavily with the TIDS sweeps of the figures, so with the
+// memoizing engine installed most points are cache hits. WithContext makes
+// it cancelable between points.
 func ExploreDesignSpace(cfg Config, space DesignSpace, opts ...SweepOption) ([]DesignPoint, error) {
 	if space.Size() == 0 {
 		return nil, fmt.Errorf("core: empty design space")

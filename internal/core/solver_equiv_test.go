@@ -120,46 +120,60 @@ func TestBackendsMatchDenseLUOnModelGrid(t *testing.T) {
 
 // TestBackendsMatchDenseLUWarmSwept checks a TIDS sweep with Config.Solver
 // pinned to each backend against the dense-LU MTTSF and a per-point
-// full-prepare Analyze at every grid point. The later points are patched:
-// under auto the exact block-triangular tier answers them, under an
-// explicit backend the working chain's ladder does, so this pins that the
-// backend choice cannot leak into a sweep's answers. The patched points
-// are checked element by element against dense LU in
-// TestPatchedResolveMatchesFullPrepare.
+// full-prepare Analyze at every grid point. The sweep walks one
+// PreparedDelta anchored on the first point, as the engine's pooled misses
+// do, so every later point is patched: under auto the exact
+// block-triangular tier answers them, under an explicit backend the
+// working chain's ladder does, so this pins that the backend choice cannot
+// leak into a sweep's answers. The patched points are checked element by
+// element against dense LU in TestPatchedResolveMatchesFullPrepare.
 func TestBackendsMatchDenseLUWarmSwept(t *testing.T) {
 	grid := []float64{30, 120, 480, 1200}
 	base := DefaultConfig()
 	base.N = 10
-	prev := SetDefaultEvaluator(Direct{Workers: 1})
-	defer SetDefaultEvaluator(prev)
 	for _, name := range ctmc.SolverBackendNames() {
 		cfg := base
 		cfg.Solver = name
-		points, err := SweepTIDS(cfg, grid)
+		cfg.TIDS = grid[0]
+		anchor, err := Prepare(cfg)
 		if err != nil {
 			t.Fatalf("solver %s: %v", name, err)
 		}
-		for i, pt := range points {
+		pd, err := NewPreparedDelta(anchor)
+		if err != nil {
+			t.Fatalf("solver %s: %v", name, err)
+		}
+		for i, tids := range grid {
 			c := cfg
-			c.TIDS = grid[i]
+			c.TIDS = tids
+			swept := anchor
+			if i > 0 {
+				if swept, err = pd.Prepared(c); err != nil {
+					t.Fatalf("solver %s TIDS %v: patch: %v", name, tids, err)
+				}
+			}
+			got, err := swept.Analyze()
+			if err != nil {
+				t.Fatalf("solver %s TIDS %v: %v", name, tids, err)
+			}
 			p, err := Prepare(c)
 			if err != nil {
-				t.Fatalf("solver %s TIDS %v: %v", name, c.TIDS, err)
+				t.Fatalf("solver %s TIDS %v: %v", name, tids, err)
 			}
 			dense := 0.0
 			for _, v := range denseSojournReference(t, p) {
 				dense += v
 			}
-			if d := relDiff(pt.Result.MTTSF, dense); d > 1e-10 {
-				t.Errorf("solver %s TIDS %v: swept MTTSF %v, dense LU %v (rel %g)", name, c.TIDS, pt.Result.MTTSF, dense, d)
+			if d := relDiff(got.MTTSF, dense); d > 1e-10 {
+				t.Errorf("solver %s TIDS %v: swept MTTSF %v, dense LU %v (rel %g)", name, tids, got.MTTSF, dense, d)
 			}
 			want, err := p.Analyze()
 			if err != nil {
-				t.Fatalf("solver %s TIDS %v: %v", name, c.TIDS, err)
+				t.Fatalf("solver %s TIDS %v: %v", name, tids, err)
 			}
-			if relDiff(pt.Result.MTTSF, want.MTTSF) > 1e-10 || relDiff(pt.Result.Ctotal, want.Ctotal) > 1e-10 {
+			if relDiff(got.MTTSF, want.MTTSF) > 1e-10 || relDiff(got.Ctotal, want.Ctotal) > 1e-10 {
 				t.Errorf("solver %s TIDS %v: swept (%v, %v), per-point Analyze (%v, %v)",
-					name, c.TIDS, pt.Result.MTTSF, pt.Result.Ctotal, want.MTTSF, want.Ctotal)
+					name, tids, got.MTTSF, got.Ctotal, want.MTTSF, want.Ctotal)
 			}
 		}
 	}

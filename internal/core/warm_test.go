@@ -25,21 +25,11 @@ func analyzeEach(t *testing.T, cfgs []Config) []*Result {
 	return out
 }
 
-// patchedPoints is how many points a one-worker sweep over cfgs patches
-// onto an anchor: all but the first of each structural group.
-func patchedPoints(cfgs []Config) uint64 {
-	groups := make(map[string]bool)
-	for _, c := range cfgs {
-		groups[StructuralKey(c)] = true
-	}
-	return uint64(len(cfgs) - len(groups))
-}
-
-// TestSweepTIDSWarmStart pins the sweep's reuse contract on the canonical
-// TIDS sweep, through the WithWarmStart spelling: identical results to a
-// full prepare per point, while every point after the first is patched
-// onto the first point's graph and re-solved there instead of being
-// re-explored.
+// TestSweepTIDSWarmStart pins Direct as the sweep's unpatched oracle on
+// the canonical TIDS sweep, through the legacy WarmStart spelling: every
+// point is a full prepare of its own, bit for bit what Analyze returns,
+// and no point is patched. The patched sweep through the memoizing engine
+// is pinned against this oracle in internal/engine.
 func TestSweepTIDSWarmStart(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N = 20
@@ -65,21 +55,18 @@ func TestSweepTIDSWarmStart(t *testing.T) {
 	}
 	for i, c := range cold {
 		w := warm[i].Result
-		if relDiff(c.MTTSF, w.MTTSF) > 1e-8 {
-			t.Errorf("TIDS=%v: warm MTTSF %v vs cold %v", warm[i].TIDS, w.MTTSF, c.MTTSF)
-		}
-		if relDiff(c.Ctotal, w.Ctotal) > 1e-8 {
-			t.Errorf("TIDS=%v: warm Ctotal %v vs cold %v", warm[i].TIDS, w.Ctotal, c.Ctotal)
+		if c.MTTSF != w.MTTSF || c.Ctotal != w.Ctotal {
+			t.Errorf("TIDS=%v: swept (%v, %v) vs cold (%v, %v)", warm[i].TIDS, w.MTTSF, w.Ctotal, c.MTTSF, c.Ctotal)
 		}
 	}
-	if want := uint64(len(cfgs) - 1); patched != want {
-		t.Errorf("sweep patched %d of %d points, want %d", patched, len(cfgs), want)
+	if patched != 0 {
+		t.Errorf("Direct sweep patched %d of %d points, want none", patched, len(cfgs))
 	}
 }
 
-// TestExploreDesignSpaceWarmStart asserts the design-space driver returns
-// the same point set as a full prepare per point (within solver tolerance)
-// and patches every point after the first of its structural group.
+// TestExploreDesignSpaceWarmStart asserts the design-space driver over
+// Direct returns the same point set as a full prepare per point, bit for
+// bit, and patches nothing.
 func TestExploreDesignSpaceWarmStart(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N = 12
@@ -116,12 +103,12 @@ func TestExploreDesignSpaceWarmStart(t *testing.T) {
 			t.Fatalf("point %d: warm (m=%d TIDS=%v %v) vs cold (m=%d TIDS=%v %v)",
 				i, warm[i].M, warm[i].TIDS, warm[i].Detection, cold[i].M, cold[i].TIDS, cold[i].Detection)
 		}
-		if relDiff(cold[i].MTTSF, warm[i].MTTSF) > 1e-8 {
-			t.Errorf("point %d: warm MTTSF %v vs cold %v", i, warm[i].MTTSF, cold[i].MTTSF)
+		if cold[i].MTTSF != warm[i].MTTSF || cold[i].Ctotal != warm[i].Ctotal {
+			t.Errorf("point %d: swept (%v, %v) vs cold (%v, %v)", i, warm[i].MTTSF, warm[i].Ctotal, cold[i].MTTSF, cold[i].Ctotal)
 		}
 	}
-	if want := patchedPoints(cfgs); patched != want || want == 0 {
-		t.Errorf("design space patched %d of %d points, want %d (> 0)", patched, len(cfgs), want)
+	if patched != 0 {
+		t.Errorf("Direct design space patched %d of %d points, want none", patched, len(cfgs))
 	}
 }
 

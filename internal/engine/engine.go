@@ -11,8 +11,9 @@
 //     derive from that one ctmc.Solution via core.Prepared.
 //  2. Patched misses: a miss re-rates a pooled incremental session of the
 //     point's structural family (core.PreparedDelta) and re-solves in
-//     place, so only the first misses of a family explore and assemble
-//     (see evaluate).
+//     place, so a family explores and assembles once per engine lifetime
+//     (see evaluate). Sweeps, design spaces and the adaptive frontier all
+//     reach this one patch driver through Eval.
 //  3. Memoization: full Results are cached behind a canonical Config
 //     fingerprint (see Fingerprint) in a concurrency-safe LRU with
 //     in-flight deduplication, so overlapping grids — SweepTIDS,
@@ -76,10 +77,12 @@ type Stats struct {
 	// Evictions counts Result-cache LRU evictions across all shards.
 	Evictions uint64
 	// Entries and PreparedEntries are current cache occupancies; a
-	// family's pool of idle incremental sessions is one prepared entry.
+	// family's pool — its anchor model and its idle incremental sessions
+	// — is one prepared entry.
 	Entries, PreparedEntries int
 	// PreparedBytes is the estimated footprint of the prepared-model LRU:
-	// the cached Prepared models and the idle sessions beside them.
+	// the cached Prepared models and the family pools' anchors and idle
+	// sessions.
 	PreparedBytes int64
 
 	// PanicsRecovered counts evaluations that panicked and were recovered
@@ -99,12 +102,12 @@ type Stats struct {
 
 	// PatchedSolves, Refactorizations, and StructuralRepreps account for
 	// the incremental re-solve path: solves served by patching the cached
-	// generator pattern in place, ILU(0) refactorizations the drift/
-	// iteration budgets forced, and incremental points that fell back to a
-	// full structural re-prepare. They are process-global (the counters
-	// live in internal/ctmc and internal/core, shared by every engine and
-	// every Direct evaluation), reported here so /v1/stats and the CLIs
-	// surface them alongside the cache accounting.
+	// generator pattern in place, ILU(0) factorizations of patched values
+	// (one per patched point the exact direct solve does not answer), and
+	// incremental points that fell back to a full structural re-prepare.
+	// They are process-global (the counters live in internal/ctmc and
+	// internal/core, shared by every PreparedDelta), reported here so
+	// /v1/stats and the CLIs surface them alongside the cache accounting.
 	PatchedSolves     uint64 `json:"patched_solves"`
 	Refactorizations  uint64 `json:"refactorizations"`
 	StructuralRepreps uint64 `json:"structural_repreps"`
@@ -130,7 +133,7 @@ func (s Stats) String() string {
 // accounting is kept in atomics shared across shards. The prepared-model
 // cache stays behind one mutex: it is touched once or twice per miss (to
 // take and return a pooled session, or to find and cache a full prepare)
-// and the lock is never held across a build or a solve.
+// and the lock is never held across a build, a clone or a solve.
 type Engine struct {
 	workers int
 
@@ -141,6 +144,10 @@ type Engine struct {
 	// poolKey(family) to that structural family's *sessionPool, all under
 	// one byte budget.
 	prepared *lruCache
+	// anchoring maps poolKey(family) to the family's in-flight anchor
+	// prepare. It is not a cache: an entry lives only while its leader
+	// runs, and Reset leaves it alone.
+	anchoring map[string]*anchorCall
 
 	// Counters live in the engine's own metric registry (reg) so each
 	// Engine instance owns its series — tests build many engines per
@@ -200,9 +207,10 @@ func New(opts Options) *Engine {
 		nShards *= 2
 	}
 	e := &Engine{
-		workers:  opts.Workers,
-		shards:   make([]resultShard, nShards),
-		prepared: newLRUBytes(opts.PreparedCacheSize, opts.PreparedCacheBytes),
+		workers:   opts.Workers,
+		shards:    make([]resultShard, nShards),
+		prepared:  newLRUBytes(opts.PreparedCacheSize, opts.PreparedCacheBytes),
+		anchoring: make(map[string]*anchorCall),
 	}
 	per := (opts.CacheSize + nShards - 1) / nShards
 	for i := range e.shards {
@@ -244,14 +252,14 @@ func New(opts Options) *Engine {
 			return float64(n)
 		})
 	e.reg.GaugeFunc("repro_engine_prepared_entries",
-		"Prepared-model cache entries currently held (a family's idle session pool is one entry).",
+		"Prepared-model cache entries currently held (a family's pool, its anchor and idle sessions, is one entry).",
 		func() float64 {
 			e.pmu.Lock()
 			defer e.pmu.Unlock()
 			return float64(e.prepared.len())
 		})
 	e.reg.GaugeFunc("repro_engine_prepared_bytes",
-		"Estimated bytes held by the prepared-model cache, idle sessions included.",
+		"Estimated bytes held by the prepared-model cache, family anchors and idle sessions included.",
 		func() float64 {
 			e.pmu.Lock()
 			defer e.pmu.Unlock()
@@ -460,145 +468,193 @@ func (e *Engine) runEval(sh *resultShard, key string, c *inflightCall, compute f
 	close(c.done)
 }
 
-// evaluate performs a cache miss. When an idle session of the point's
-// structural family is pooled, the point is patched and re-solved on it
-// and the session goes back to the pool once Analyze has returned: the
-// patched Prepared aliases the session's working arrays, so the next user
-// may patch only after the Result (a fresh struct) is built. A patched
-// Prepared is never cached. A point the session cannot take — a
-// structural delta or any solve failure — drops the session (its state
-// is suspect) and takes the full path: reuse or build the prepared model,
-// cache it, analyse it, and seed the family's pool with a new session
-// anchored on it. Only points solved by the auto backend use the pool
-// (see patchable).
+// evaluate performs a cache miss, the engine's one patch driver. It
+// patches cfg on a session of its structural family (sessionFor) and
+// re-solves; the session goes back to the pool once Analyze has returned,
+// because the patched Prepared aliases the session's working arrays and
+// the next user may patch only after the Result (a fresh struct) is
+// built. A patched Prepared is never cached. A point the session cannot
+// take — a structural delta or any solve failure — drops the session (its
+// state is suspect) and takes its own full prepare, cached under its
+// fingerprint. The family's first miss has no session to take: it leads
+// the family's anchor prepare, publishing the anchor as soon as
+// core.Prepare returns so the misses waiting on it clone their sessions
+// while it solves. A leader that fails or panics publishes nothing and
+// still releases its waiters, which then take their own full prepares.
 func (e *Engine) evaluate(key string, cfg core.Config) (*core.Result, error) {
+	family := poolKey(cfg)
+	pd, publish := e.sessionFor(family)
+	if publish != nil {
+		defer publish(nil) // no-op once the anchor is published
+	}
 	if faultinject.Fire(faultinject.EnginePanic) {
 		panic("faultinject: forced panic inside engine evaluation")
 	}
-	family, pooled := poolKey(cfg), patchable(cfg)
-	if pooled {
-		if res := e.evalPatched(family, cfg); res != nil {
-			return res, nil
+	if pd != nil {
+		if p, err := pd.Prepared(cfg); err == nil {
+			if res, err := p.Analyze(); err == nil {
+				e.evals.Add(1)
+				e.putSession(family, pd)
+				return res, nil
+			}
 		}
 	}
-	p, err := e.preparedFor(key, cfg)
+	var p *core.Prepared
+	var err error
+	if publish != nil {
+		if p = e.cachedModel(key); p == nil {
+			p, err = core.Prepare(cfg)
+		}
+		if err == nil {
+			publish(p)
+		}
+	} else {
+		p, err = e.preparedFor(key, cfg)
+	}
 	if err != nil {
 		return nil, err
 	}
 	e.evals.Add(1)
-	res, err := p.Analyze()
-	if err != nil {
-		return nil, err
-	}
-	if pooled && e.idleSessions(family) < e.workers {
-		if pd, err := core.NewPreparedDelta(p); err == nil {
-			e.putSession(family, pd)
-		}
-	}
-	return res, nil
+	return p.Analyze()
 }
 
-// evalPatched evaluates cfg on an idle session of its family. It returns
-// nil when no session is idle, or when the session cannot take the point;
-// that session is dropped.
-func (e *Engine) evalPatched(family string, cfg core.Config) *core.Result {
-	pd := e.takeSession(family)
-	if pd == nil {
-		return nil
-	}
-	p, err := pd.Prepared(cfg)
-	if err != nil {
-		return nil
-	}
-	res, err := p.Analyze()
-	if err != nil {
-		return nil
-	}
-	e.evals.Add(1)
-	e.putSession(family, pd)
-	return res
-}
-
-// patchable reports whether cfg's misses may patch a pooled session: only
-// when cfg solves through the auto backend, whose exact block-triangular
-// first rung is the solve a patched point takes too, so both paths give
-// the same answer. A point pinned to an iterative backend (Config.Solver
-// or REPRO_SOLVER) takes the full path and is answered by that backend.
-func patchable(cfg core.Config) bool {
-	if cfg.Solver != "" {
-		return cfg.Solver == ctmc.BackendAuto
-	}
-	return ctmc.DefaultSolverBackend().Name() == ctmc.BackendAuto
-}
-
-// sessionPool is one structural family's idle incremental sessions. It
-// lives in the prepared LRU under the family's poolKey, charged at the
-// summed session estimates, so idle sessions sit under the same byte
-// budget as the models they were seeded from and an eviction drops them.
-// A session is in the pool only while idle: takeSession removes it, so no
-// two goroutines ever share one.
+// sessionPool is one structural family's entry in the prepared LRU, under
+// the family's poolKey: the family's anchor — the first full prepare of
+// one of its points — and up to e.workers idle sessions cloned from it. It
+// is charged at the anchor's and the sessions' summed estimates, so both
+// sit under the same byte budget as the cached models and an eviction
+// drops them. A session is in the pool only while idle: sessionFor
+// removes it, so no two goroutines ever share one.
 type sessionPool struct {
-	idle []*core.PreparedDelta
+	anchor *core.Prepared
+	// anchorBytes is anchor.SizeBytes(), taken once when the anchor is
+	// published: the estimate walks the chain's pattern, and the pool is
+	// re-charged on every take and return.
+	anchorBytes int64
+	idle        []*core.PreparedDelta
 }
 
 func (sp *sessionPool) sizeBytes() int64 {
-	var n int64
+	n := sp.anchorBytes
 	for _, pd := range sp.idle {
 		n += pd.SizeBytes()
 	}
 	return n
 }
 
+// anchorCall is a family's in-flight anchor prepare. Misses of the family
+// that find no anchor wait on done and clone from anchor, which stays nil
+// when the leader failed.
+type anchorCall struct {
+	done   chan struct{}
+	anchor *core.Prepared
+}
+
 // poolKey is the prepared-LRU key of cfg's structural family pool. The
 // prefix cannot begin a Fingerprint, so pools and models never collide.
 func poolKey(cfg core.Config) string { return "pool|" + core.StructuralKey(cfg) }
 
-// takeSession removes and returns an idle session of the family, or nil.
-func (e *Engine) takeSession(key string) *core.PreparedDelta {
+// sessionFor returns a session of the family to patch a miss on: an idle
+// one from the pool, else a fresh clone of the family's anchor. A family
+// with no anchor yet has at most one anchor prepare in flight: a miss that
+// finds one waits for it and clones from what it publishes, and a miss
+// that finds none becomes the leader. The leader gets no session but a
+// publish function it must call (deferred, so a panic cannot wedge the
+// waiters): publish(p) makes p the anchor and releases the waiters, and
+// publish(nil) releases them with nothing to clone; only the first call
+// takes effect. A nil session with a nil publish means the caller takes
+// its own full prepare.
+func (e *Engine) sessionFor(family string) (*core.PreparedDelta, func(*core.Prepared)) {
+	e.pmu.Lock()
+	var anchor *core.Prepared
+	if v, ok := e.prepared.get(family); ok {
+		sp := v.(*sessionPool)
+		if n := len(sp.idle); n > 0 {
+			pd := sp.idle[n-1]
+			sp.idle[n-1] = nil
+			sp.idle = sp.idle[:n-1]
+			e.prepared.addSized(family, sp, sp.sizeBytes())
+			e.pmu.Unlock()
+			return pd, nil
+		}
+		anchor = sp.anchor
+	}
+	call, inFlight := e.anchoring[family]
+	switch {
+	case anchor != nil:
+		e.pmu.Unlock()
+	case inFlight:
+		e.pmu.Unlock()
+		<-call.done
+		if anchor = call.anchor; anchor == nil {
+			return nil, nil
+		}
+	default:
+		call = &anchorCall{done: make(chan struct{})}
+		e.anchoring[family] = call
+		e.pmu.Unlock()
+		return nil, func(p *core.Prepared) { e.publishAnchor(family, call, p) }
+	}
+	pd, err := core.NewPreparedDelta(anchor)
+	if err != nil {
+		return nil, nil // the miss takes its own full prepare
+	}
+	return pd, nil
+}
+
+// publishAnchor ends the family's in-flight anchor prepare: a non-nil p
+// becomes the pool's anchor, and every waiter is released. Only the first
+// call for a given call takes effect.
+func (e *Engine) publishAnchor(family string, call *anchorCall, p *core.Prepared) {
+	var size int64
+	if p != nil {
+		size = p.SizeBytes()
+	}
 	e.pmu.Lock()
 	defer e.pmu.Unlock()
-	v, ok := e.prepared.get(key)
-	if !ok {
-		return nil
+	select {
+	case <-call.done:
+		return
+	default:
 	}
-	sp := v.(*sessionPool)
-	last := len(sp.idle) - 1
-	pd := sp.idle[last]
-	sp.idle[last] = nil
-	sp.idle = sp.idle[:last]
-	if len(sp.idle) == 0 {
-		e.prepared.drop(key)
-	} else {
-		e.prepared.addSized(key, sp, sp.sizeBytes())
+	delete(e.anchoring, family)
+	if p != nil {
+		sp := &sessionPool{}
+		if v, ok := e.prepared.get(family); ok {
+			sp = v.(*sessionPool)
+		}
+		sp.anchor, sp.anchorBytes = p, size
+		e.prepared.addSized(family, sp, sp.sizeBytes())
 	}
-	return pd
+	call.anchor = p
+	close(call.done)
 }
 
 // putSession returns an idle session to its family's pool, which keeps at
 // most e.workers sessions: one per concurrent miss the batch pool can
 // issue. A session the pool has no room for is dropped.
-func (e *Engine) putSession(key string, pd *core.PreparedDelta) {
+func (e *Engine) putSession(family string, pd *core.PreparedDelta) {
 	e.pmu.Lock()
 	defer e.pmu.Unlock()
 	sp := &sessionPool{}
-	if v, ok := e.prepared.get(key); ok {
+	if v, ok := e.prepared.get(family); ok {
 		sp = v.(*sessionPool)
 	}
 	if len(sp.idle) >= e.workers {
 		return
 	}
 	sp.idle = append(sp.idle, pd)
-	e.prepared.addSized(key, sp, sp.sizeBytes())
+	e.prepared.addSized(family, sp, sp.sizeBytes())
 }
 
-// idleSessions reports how many sessions the family's pool holds.
-func (e *Engine) idleSessions(key string) int {
+// cachedModel returns the full prepared model cached under key, or nil.
+func (e *Engine) cachedModel(key string) *core.Prepared {
 	e.pmu.Lock()
 	defer e.pmu.Unlock()
 	if v, ok := e.prepared.get(key); ok {
-		return len(v.(*sessionPool).idle)
+		return v.(*core.Prepared)
 	}
-	return 0
+	return nil
 }
 
 // preparedFor returns the cached prepared model for key, building and
@@ -606,12 +662,9 @@ func (e *Engine) idleSessions(key string) int {
 // serialized by the in-flight map in Eval; Prepared and Survival callers
 // may rarely build a duplicate, which is correct (just not free).
 func (e *Engine) preparedFor(key string, cfg core.Config) (*core.Prepared, error) {
-	e.pmu.Lock()
-	if v, ok := e.prepared.get(key); ok {
-		e.pmu.Unlock()
-		return v.(*core.Prepared), nil
+	if p := e.cachedModel(key); p != nil {
+		return p, nil
 	}
-	e.pmu.Unlock()
 	p, err := core.Prepare(cfg)
 	if err != nil {
 		return nil, err
@@ -629,12 +682,11 @@ func (e *Engine) Prepared(cfg core.Config) (*core.Prepared, error) {
 	return e.preparedFor(Fingerprint(cfg), cfg)
 }
 
-// EvalWith evaluates cfg through the result cache and in-flight dedup,
-// calling prepare — a core.DeltaSession builds or patches the model and
-// solves it there — only on a miss, and recording the fresh Result so later
-// Evals of the same point are ordinary hits instead of depending on the
-// prepared model surviving the byte-budgeted LRU. A fully cached sweep
-// thus re-solves nothing.
+// EvalWith evaluates cfg through the result cache and in-flight dedup like
+// Eval, but a miss calls the caller's prepare — its own build (and solve)
+// of cfg — instead of the family pool, and records the fresh Result so
+// later Evals of the same point are ordinary hits. The bench harness's
+// traced path uses it to time each stage of a full prepare.
 func (e *Engine) EvalWith(cfg core.Config, prepare func() (*core.Prepared, error)) (*core.Result, error) {
 	return e.EvalWithContext(context.Background(), cfg, prepare)
 }
@@ -670,8 +722,8 @@ func (e *Engine) EvalBatchContext(ctx context.Context, cfgs []core.Config) ([]*c
 	})
 }
 
-// WorkerBound reports the engine's batch-parallelism cap, so core's
-// incremental sweep chunks fan out under the same bound as EvalBatch.
+// WorkerBound reports the engine's batch-parallelism cap, so core's grid
+// sweeps fan out under the same bound as EvalBatch.
 func (e *Engine) WorkerBound() int { return e.workers }
 
 // Survival estimates the survival function with reps exact CTMC samples,
@@ -725,8 +777,9 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Reset empties both caches, idle session pools included, and zeroes the
-// counters (test support).
+// Reset empties both caches, family pools included, and zeroes the
+// counters (test support). An anchor prepare in flight still publishes
+// into the emptied cache when it finishes.
 func (e *Engine) Reset() {
 	for i := range e.shards {
 		sh := &e.shards[i]

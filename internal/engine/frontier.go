@@ -67,11 +67,11 @@ type FrontierOptions struct {
 	// here so streamed frontier requests compete fairly with /v1/eval.
 	Gate func(ctx context.Context) (release func(), err error)
 	// Eval, when set, replaces the engine's own fresh-evaluation path
-	// (incremental delta sessions included) for candidates the cache does
-	// not already hold — the cluster-wired service routes frontier
-	// evaluations across its peers through this seam. The substitute is
-	// expected to bound its own solver capacity, so Gate is not consulted
-	// around it.
+	// (EvalContext, which patches the family's pooled sessions) for
+	// candidates the cache does not already hold — the cluster-wired
+	// service routes frontier evaluations across its peers through this
+	// seam. The substitute is expected to bound its own solver capacity,
+	// so Gate is not consulted around it.
 	Eval func(ctx context.Context, cfg core.Config) (*core.Result, error)
 }
 
@@ -124,7 +124,6 @@ type frontierRun struct {
 	budget   int
 	evals    int
 	maxC     float64 // highest Ĉtotal observed so far (acquisition clamp)
-	sessions map[string]*core.DeltaSession
 	emit     func(FrontierRevision) error
 }
 
@@ -146,13 +145,12 @@ func (e *Engine) AdaptiveFrontier(ctx context.Context, cfg core.Config, opts Fro
 		opts.Optimism = 1
 	}
 	r := &frontierRun{
-		e:        e,
-		opts:     opts,
-		fm:       core.NewFrontierMaintainer(),
-		total:    opts.Space.Size(),
-		budget:   opts.EvalBudget,
-		sessions: make(map[string]*core.DeltaSession, 1),
-		emit:     emit,
+		e:      e,
+		opts:   opts,
+		fm:     core.NewFrontierMaintainer(),
+		total:  opts.Space.Size(),
+		budget: opts.EvalBudget,
+		emit:   emit,
 	}
 	if r.budget <= 0 {
 		r.budget = r.total
@@ -755,8 +753,8 @@ func (f *frontierFamily) doneNeighbours(i int) (lo, hi int) {
 	return lo, hi
 }
 
-// evalCandidate charges one fresh evaluation (through the gate, via the
-// family's incremental patch session) and folds the outcome in.
+// evalCandidate charges one fresh evaluation (through the gate, on the
+// engine's pooled miss path) and folds the outcome in.
 func (r *frontierRun) evalCandidate(ctx context.Context, c *frontierCandidate) error {
 	if res, ok := r.e.Cached(c.cfg); ok { // raced in since seeding: free
 		return r.record(c, res.MTTSF, res.Ctotal)
@@ -777,13 +775,7 @@ func (r *frontierRun) evalCandidate(ctx context.Context, c *frontierCandidate) e
 		}
 		release = rel
 	}
-	key := core.StructuralKey(c.cfg)
-	sess := r.sessions[key]
-	if sess == nil {
-		sess = core.NewDeltaSession(r.e)
-		r.sessions[key] = sess
-	}
-	res, err := sess.Eval(ctx, c.cfg)
+	res, err := r.e.EvalContext(ctx, c.cfg)
 	release()
 	if err != nil {
 		return fmt.Errorf("engine: frontier (m=%d TIDS=%v detection=%v): %w", c.m, c.tids, c.det, err)

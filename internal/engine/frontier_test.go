@@ -3,10 +3,15 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ctmc"
+	"repro/internal/obs"
+	"repro/internal/shapes"
 )
 
 // fullGridFrontier computes the reference frontier by evaluating every
@@ -219,6 +224,62 @@ func TestAdaptiveFrontierSeededExact(t *testing.T) {
 						n, gi, trial, evals, space.Size()-len(seed))
 				}
 			}
+		}
+	}
+}
+
+// TestAdaptiveFrontierPooledMatchesFresh mirrors the frontier_cold
+// benchmark's check on the pooled miss path: nine bases (N 20, 25 and 30,
+// LambdaC and P1 each scaled by 2^U(-1/2, 1/2)) run through
+// AdaptiveFrontier over frontier_cold's 192-point space, all on one
+// long-lived engine. Every frontier must equal, under reflect.DeepEqual, a
+// fresh engine's for the same base, with the same eval count, and the
+// long-lived engine explores each of the three families once.
+func TestAdaptiveFrontierPooledMatchesFresh(t *testing.T) {
+	space := core.DesignSpace{
+		Ms:         []int{3, 5, 7, 9},
+		TIDSGrid:   []float64{5, 10, 15, 20, 30, 45, 60, 90, 120, 180, 240, 360, 480, 600, 900, 1200},
+		Detections: shapes.Kinds(),
+	}
+	r := rand.New(rand.NewSource(26))
+	var bases []core.Config
+	for k := 0; k < 3; k++ {
+		for _, n := range []int{20, 25, 30} {
+			c := core.DefaultConfig()
+			c.N = n
+			c.LambdaC *= math.Exp2(r.Float64() - 0.5)
+			c.P1 *= math.Exp2(r.Float64() - 0.5)
+			c.Solver = ctmc.BackendAuto
+			bases = append(bases, c)
+		}
+	}
+	long := New(Options{})
+	explored := exploreCalls()
+	type run struct {
+		frontier []core.DesignPoint
+		evals    int
+	}
+	pooled := make([]run, len(bases))
+	for i, base := range bases {
+		f, n, err := long.AdaptiveFrontier(context.Background(), base, FrontierOptions{Space: space}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled[i] = run{f, n}
+	}
+	if n := exploreCalls() - explored; obs.Armed() && n > 3 {
+		t.Errorf("long-lived engine explored %d times for %d frontiers over 3 families, want at most 3", n, len(bases))
+	}
+	for i, base := range bases {
+		f, n, err := New(Options{}).AdaptiveFrontier(context.Background(), base, FrontierOptions{Space: space}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pooled[i].frontier, f) {
+			t.Errorf("base %d (N=%d): pooled frontier\n%+v\nfresh engine\n%+v", i, base.N, pooled[i].frontier, f)
+		}
+		if pooled[i].evals != n {
+			t.Errorf("base %d (N=%d): %d evals on the long-lived engine, %d on a fresh one", i, base.N, pooled[i].evals, n)
 		}
 	}
 }

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ctmc"
@@ -61,10 +64,21 @@ func analyzeAll(t *testing.T, cfgs []core.Config) []*core.Result {
 	return want
 }
 
+// familyPool returns the pool entry of cfg's structural family, or nil.
+func familyPool(e *Engine, cfg core.Config) *sessionPool {
+	e.pmu.Lock()
+	defer e.pmu.Unlock()
+	if v, ok := e.prepared.get(poolKey(cfg)); ok {
+		return v.(*sessionPool)
+	}
+	return nil
+}
+
 // TestPooledMissesMatchAnalyze drives the shuffled grid through Eval and
 // EvalBatch on fresh engines with 1, 2 and 4 workers. Every miss after a
-// family's first few patches a pooled session, and every answer must equal
-// core.Analyze bit for bit.
+// family's first patches a session cloned from the family's anchor, so
+// each family explores once, and every answer must equal core.Analyze bit
+// for bit.
 func TestPooledMissesMatchAnalyze(t *testing.T) {
 	cfgs := missGrid(1)
 	want := analyzeAll(t, cfgs)
@@ -72,7 +86,7 @@ func TestPooledMissesMatchAnalyze(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		for _, path := range []string{"Eval", "EvalBatch"} {
 			e := New(Options{Workers: workers})
-			patched := ctmc.PatchedSolves()
+			explored, patched := exploreCalls(), ctmc.PatchedSolves()
 			var got []*core.Result
 			if path == "Eval" {
 				got = make([]*core.Result, len(cfgs))
@@ -94,15 +108,12 @@ func TestPooledMissesMatchAnalyze(t *testing.T) {
 					t.Errorf("workers=%d %s point %d (%+v):\n got %+v\nwant %+v", workers, path, i, cfgs[i], got[i], want[i])
 				}
 			}
-			// Sequential Evals seed one session per family; a batch may
-			// seed up to one per worker.
-			seeded := families
-			if path == "EvalBatch" {
-				seeded *= workers
+			if n := ctmc.PatchedSolves() - patched; n != uint64(len(cfgs)-families) {
+				t.Errorf("workers=%d %s: %d patched solves for %d misses, want %d",
+					workers, path, n, len(cfgs), len(cfgs)-families)
 			}
-			if n := ctmc.PatchedSolves() - patched; n < uint64(len(cfgs)-seeded) {
-				t.Errorf("workers=%d %s: %d patched solves for %d misses, want at least %d",
-					workers, path, n, len(cfgs), len(cfgs)-seeded)
+			if n := exploreCalls() - explored; obs.Armed() && n != families {
+				t.Errorf("workers=%d %s: %d explores, want one per family (%d)", workers, path, n, families)
 			}
 		}
 	}
@@ -110,7 +121,7 @@ func TestPooledMissesMatchAnalyze(t *testing.T) {
 
 // TestPooledMissesShareAnchors runs concurrent batches across families on
 // one engine while other goroutines analyse, count and sample the cached
-// anchors the pooled sessions were seeded from. Run it under -race: a
+// anchors the pooled sessions are cloned from. Run it under -race: a
 // session is never shared while in use, never writes into the anchor, and
 // goes back to the pool only after its point's Result is built.
 func TestPooledMissesShareAnchors(t *testing.T) {
@@ -118,7 +129,8 @@ func TestPooledMissesShareAnchors(t *testing.T) {
 	want := analyzeAll(t, cfgs)
 	e := New(Options{Workers: 4})
 
-	// Seed every family's pool and cache its anchor.
+	// Cache one model per family; each family's first miss then anchors
+	// its pool on that cached model.
 	anchors := make(map[string]*core.Prepared)
 	var seed []core.Config
 	for _, c := range cfgs {
@@ -213,8 +225,8 @@ func clusterStylePoints(seed uint64, count int) []core.Config {
 
 // TestMissesPatchFromPool is the miss path's attribution: streaming fresh
 // points of three families through a two-worker engine in four-point
-// batches explores at most families × workers state spaces, and at least
-// 90% of the evaluations are patched re-solves.
+// batches explores each family's state space once, and every other
+// evaluation is a patched re-solve.
 func TestMissesPatchFromPool(t *testing.T) {
 	const families, workers, points = 3, 2, 96
 	cfgs := clusterStylePoints(7, points)
@@ -231,41 +243,50 @@ func TestMissesPatchFromPool(t *testing.T) {
 	if evals != points {
 		t.Errorf("%d evals for %d fresh points", evals, points)
 	}
-	if obs.Armed() && explored > families*workers {
-		t.Errorf("explore ran %d times, want at most %d (families × workers)", explored, families*workers)
+	if obs.Armed() && explored != families {
+		t.Errorf("explore ran %d times, want once per family (%d)", explored, families)
 	}
-	if 10*patched < 9*evals {
-		t.Errorf("%d of %d evals patched, want at least 90%%", patched, evals)
+	if patched != evals-families {
+		t.Errorf("%d of %d evals patched, want %d", patched, evals, evals-families)
 	}
-	// Patched models are never cached: the prepared LRU holds the anchors
-	// and one session pool per family.
-	if st := e.Stats(); st.PreparedEntries > families*workers+families {
-		t.Errorf("%d prepared entries, want at most %d", st.PreparedEntries, families*workers+families)
+	// Patched models are never cached: the prepared LRU holds one pool
+	// per family, the anchor inside it.
+	if st := e.Stats(); st.PreparedEntries != families {
+		t.Errorf("%d prepared entries, want %d", st.PreparedEntries, families)
 	}
 }
 
-// TestResetEmptiesSessionPool pins that Reset drops the idle sessions with
-// the rest of the prepared cache: the next miss explores again.
+// TestResetEmptiesSessionPool pins the pool's life cycle: the first miss
+// publishes the family's anchor and clones no session, the second clones
+// one and returns it idle, and Reset drops the pool with the rest of the
+// prepared cache, so the next miss explores again.
 func TestResetEmptiesSessionPool(t *testing.T) {
-	cfgs := clusterStylePoints(8, 2)
-	cfgs[1] = cfgs[0]
+	cfgs := clusterStylePoints(8, 3)
+	cfgs[1], cfgs[2] = cfgs[0], cfgs[0]
 	cfgs[1].TIDS *= 2
+	cfgs[2].TIDS *= 3
 	e := New(Options{Workers: 1})
 	if _, err := e.Eval(cfgs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.idleSessions(poolKey(cfgs[0])); n != 1 {
-		t.Fatalf("%d idle sessions after the first miss, want 1", n)
+	if sp := familyPool(e, cfgs[0]); sp == nil || sp.anchor == nil || len(sp.idle) != 0 {
+		t.Fatalf("after the first miss: pool %+v, want an anchor and no idle session", sp)
+	}
+	if _, err := e.Eval(cfgs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if sp := familyPool(e, cfgs[0]); sp == nil || sp.anchor == nil || len(sp.idle) != 1 {
+		t.Fatalf("after the second miss: pool %+v, want an anchor and one idle session", sp)
 	}
 	e.Reset()
-	if n := e.idleSessions(poolKey(cfgs[0])); n != 0 {
-		t.Errorf("%d idle sessions after Reset, want 0", n)
+	if sp := familyPool(e, cfgs[0]); sp != nil {
+		t.Errorf("pool survived Reset: %+v", sp)
 	}
 	if st := e.Stats(); st.PreparedEntries != 0 || st.PreparedBytes != 0 {
 		t.Errorf("prepared cache after Reset: %d entries, %d bytes", st.PreparedEntries, st.PreparedBytes)
 	}
 	patched := ctmc.PatchedSolves()
-	if _, err := e.Eval(cfgs[1]); err != nil {
+	if _, err := e.Eval(cfgs[2]); err != nil {
 		t.Fatal(err)
 	}
 	if n := ctmc.PatchedSolves() - patched; n != 0 {
@@ -273,26 +294,31 @@ func TestResetEmptiesSessionPool(t *testing.T) {
 	}
 }
 
-// TestIdleSessionsChargedToBudget pins that idle sessions count against the
-// prepared-cache byte budget, and that a budget too small for a family's
-// pool keeps no session: every miss then takes the full path.
+// TestIdleSessionsChargedToBudget pins that a family's anchor and idle
+// sessions count against the prepared-cache byte budget, and that a
+// budget too small for the anchor keeps no pool: every miss then takes
+// the full path.
 func TestIdleSessionsChargedToBudget(t *testing.T) {
-	cfgs := clusterStylePoints(9, 1)
+	cfgs := clusterStylePoints(9, 2)
+	cfgs[1] = cfgs[0]
+	cfgs[1].TIDS *= 2
 	e := New(Options{Workers: 1})
-	if _, err := e.Eval(cfgs[0]); err != nil {
-		t.Fatal(err)
+	for _, c := range cfgs {
+		if _, err := e.Eval(c); err != nil {
+			t.Fatal(err)
+		}
 	}
-	p, err := e.Prepared(cfgs[0])
-	if err != nil {
-		t.Fatal(err)
+	sp := familyPool(e, cfgs[0])
+	if sp == nil || sp.anchor == nil || len(sp.idle) != 1 {
+		t.Fatalf("after two misses: pool %+v, want an anchor and one idle session", sp)
 	}
-	st := e.Stats()
-	if st.PreparedEntries != 2 || st.PreparedBytes <= p.SizeBytes() {
-		t.Errorf("after one miss: %d entries, %d bytes; want the model (%d bytes) and a session pool",
-			st.PreparedEntries, st.PreparedBytes, p.SizeBytes())
+	size := sp.anchor.SizeBytes() + sp.idle[0].SizeBytes()
+	if st := e.Stats(); st.PreparedEntries != 1 || st.PreparedBytes != size {
+		t.Errorf("after two misses: %d entries, %d bytes; want the pool alone at %d bytes",
+			st.PreparedEntries, st.PreparedBytes, size)
 	}
 
-	tight := New(Options{Workers: 1, PreparedCacheBytes: p.SizeBytes() / 2})
+	tight := New(Options{Workers: 1, PreparedCacheBytes: sp.anchor.SizeBytes() / 2})
 	patched := ctmc.PatchedSolves()
 	for i := 0; i < 3; i++ {
 		c := cfgs[0]
@@ -302,10 +328,10 @@ func TestIdleSessionsChargedToBudget(t *testing.T) {
 		}
 	}
 	if n := ctmc.PatchedSolves() - patched; n != 0 {
-		t.Errorf("%d patched solves under a budget no session fits, want 0", n)
+		t.Errorf("%d patched solves under a budget no anchor fits, want 0", n)
 	}
-	if n := tight.idleSessions(poolKey(cfgs[0])); n != 0 {
-		t.Errorf("%d idle sessions kept over budget", n)
+	if sp := familyPool(tight, cfgs[0]); sp != nil {
+		t.Errorf("pool kept over budget: %+v", sp)
 	}
 }
 
@@ -354,6 +380,179 @@ func TestPooledMissesUnderSolverChaos(t *testing.T) {
 		t.Logf("seed %d: fired %v, %d explores for %d points", seed, fired, explored, len(cfgs))
 		if armed && obs.Armed() && explored <= 3*workers {
 			t.Errorf("seed %d: %d explores; failed patched misses must fall back to full prepares", seed, explored)
+		}
+	}
+}
+
+// TestColdMissesJoinOneAnchor pins the family's in-flight anchor prepare.
+// Concurrent cold misses of one family explore once: the first leads, and
+// the rest wait for its prepare and clone sessions from the anchor it
+// publishes. A leader that fails — an invalid configuration whose prepare
+// errors, or an evaluation the EnginePanic fault kills — still releases
+// the family: no miss wedges, the waiters fall back to their own full
+// prepares, and a later miss leads a new anchor prepare.
+func TestColdMissesJoinOneAnchor(t *testing.T) {
+	t.Cleanup(faultinject.Disable)
+	const workers = 8
+	r := rand.New(rand.NewPCG(26, 1))
+	cfgs := make([]core.Config, 16)
+	for i := range cfgs {
+		c := core.DefaultConfig()
+		c.N = 30
+		c.M = []int{3, 5, 7, 9}[r.IntN(4)]
+		c.Detection = shapes.Kinds()[r.IntN(3)]
+		c.TIDS = 5 * math.Pow(240, r.Float64())
+		c.Solver = ctmc.BackendAuto
+		cfgs[i] = c
+	}
+	want := analyzeAll(t, cfgs)
+	bad := cfgs[0]
+	bad.TIDS = -1 // same family, but its prepare fails validation
+
+	// within runs fn and fails the test if it does not return in time.
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			fn()
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("%s wedged", what)
+		}
+	}
+	inFlight := func(e *Engine) int {
+		e.pmu.Lock()
+		defer e.pmu.Unlock()
+		return len(e.anchoring)
+	}
+	// evalEach evaluates every point concurrently, keeping per-point errors.
+	evalEach := func(e *Engine, cfgs []core.Config) ([]*core.Result, []error) {
+		got, errs := make([]*core.Result, len(cfgs)), make([]error, len(cfgs))
+		within("concurrent cold misses", func() {
+			core.ForEachIndexed(len(cfgs), workers, func(i int) { got[i], errs[i] = e.Eval(cfgs[i]) })
+		})
+		return got, errs
+	}
+	// allExact checks a fault-free pass: every point answered bit for bit,
+	// with at most maxExplores explores.
+	allExact := func(label string, e *Engine, maxExplores uint64) {
+		t.Helper()
+		explored := exploreCalls()
+		got, errs := evalEach(e, cfgs)
+		for i := range cfgs {
+			if errs[i] != nil {
+				t.Errorf("%s point %d: %v", label, i, errs[i])
+			} else if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s point %d: got %+v want %+v", label, i, got[i], want[i])
+			}
+		}
+		if n := exploreCalls() - explored; obs.Armed() && n > maxExplores {
+			t.Errorf("%s: %d explores, want at most %d", label, n, maxExplores)
+		}
+		if n := inFlight(e); n != 0 {
+			t.Errorf("%s: %d anchor prepares still in flight", label, n)
+		}
+	}
+
+	allExact("cold", New(Options{Workers: workers}), 1)
+
+	// A leader whose prepare fails releases the family.
+	e := New(Options{Workers: workers})
+	within("failing leader", func() {
+		if _, err := e.Eval(bad); err == nil {
+			t.Error("an invalid configuration evaluated")
+		}
+	})
+	if n := inFlight(e); n != 0 {
+		t.Fatalf("%d anchor prepares in flight after the leader failed", n)
+	}
+	allExact("after a failing leader", e, 1)
+
+	// The same, racing: whichever miss leads, the invalid one fails alone.
+	e = New(Options{Workers: workers})
+	got, errs := evalEach(e, append([]core.Config{bad}, cfgs...))
+	if errs[0] == nil {
+		t.Error("an invalid configuration evaluated in a cold batch")
+	}
+	for i := range cfgs {
+		if errs[i+1] != nil || !reflect.DeepEqual(got[i+1], want[i]) {
+			t.Errorf("point %d beside a failing miss: %+v, %v", i, got[i+1], errs[i+1])
+		}
+	}
+
+	// A leader the EnginePanic fault kills releases the family too.
+	faultinject.Enable(faultinject.Plan{Seed: 1, Rates: map[string]float64{faultinject.EnginePanic: 1}})
+	if !faultinject.Enabled() {
+		t.Log("fault probes compiled out (repro_nofaults): panic legs skipped")
+		return
+	}
+	e = New(Options{Workers: workers})
+	within("panicking leader", func() {
+		if _, err := e.Eval(cfgs[0]); !errors.Is(err, ErrEvalPanic) {
+			t.Errorf("forced panic surfaced as %v", err)
+		}
+	})
+	faultinject.Disable()
+	if n := inFlight(e); n != 0 {
+		t.Fatalf("%d anchor prepares in flight after the leader panicked", n)
+	}
+	allExact("after a panicking leader", e, 1)
+
+	// Concurrent cold misses under random panics: every point answers
+	// exactly or reports the panic, and the family recovers afterwards.
+	for _, seed := range chaosSeeds(t) {
+		faultinject.Enable(faultinject.Plan{Seed: seed, Rates: map[string]float64{faultinject.EnginePanic: 0.3}})
+		e := New(Options{Workers: workers})
+		got, errs := evalEach(e, cfgs)
+		fired := faultinject.FiredCounts()[faultinject.EnginePanic]
+		faultinject.Disable()
+		var panicked uint64
+		for i := range cfgs {
+			switch {
+			case errors.Is(errs[i], ErrEvalPanic):
+				panicked++
+			case errs[i] != nil:
+				t.Errorf("seed %d point %d: %v", seed, i, errs[i])
+			case !reflect.DeepEqual(got[i], want[i]):
+				t.Errorf("seed %d point %d: got %+v want %+v", seed, i, got[i], want[i])
+			}
+		}
+		if panicked != fired {
+			t.Errorf("seed %d: %d points report a panic, %d fired", seed, panicked, fired)
+		}
+		allExact(fmt.Sprintf("seed %d, after the panics", seed), e, 1)
+	}
+}
+
+// TestPinnedBackendMissesMatchAnalyze pins that a point pinned to an
+// iterative backend patches like any other: each family still explores
+// once, and every answer — re-solved through the working chain's ladder on
+// fresh ILU(0) factors of the patched values — equals the pinned backend's
+// full prepare bit for bit.
+func TestPinnedBackendMissesMatchAnalyze(t *testing.T) {
+	const families = 6
+	for _, name := range []string{ctmc.BackendILUBiCGSTAB, ctmc.BackendGMRES} {
+		cfgs := missGrid(3)
+		for i := range cfgs {
+			cfgs[i].Solver = name
+		}
+		want := analyzeAll(t, cfgs)
+		e := New(Options{Workers: 2})
+		patched := ctmc.PatchedSolves()
+		got, err := e.EvalBatch(cfgs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range cfgs {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s point %d: got %+v want %+v", name, i, got[i], want[i])
+			}
+		}
+		if n := ctmc.PatchedSolves() - patched; n != uint64(len(cfgs)-families) {
+			t.Errorf("%s: %d patched solves for %d misses, want %d", name, n, len(cfgs), len(cfgs)-families)
 		}
 	}
 }

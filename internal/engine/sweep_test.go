@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctmc"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/shapes"
 )
 
@@ -32,23 +33,24 @@ var sweepProtocols = []sweepProtocol{
 }
 
 // sweepEvaluators are the Evaluators the sweep driver must give
-// identical answers through: Direct at several worker bounds and a fresh
-// memoizing engine. chunks is how many chunks a twelve-point sweep is cut
-// into (0: not pinned, it follows GOMAXPROCS).
+// identical answers through: Direct (the unpatched oracle) at several
+// worker bounds and fresh memoizing engines, which patch every miss after
+// a family's first. patches reports whether a sweep through the evaluator
+// patches all but one of its points (else it patches none).
 func sweepEvaluators() []struct {
-	name   string
-	chunks int
-	mk     func() core.Evaluator
+	name    string
+	patches bool
+	mk      func() core.Evaluator
 } {
 	return []struct {
-		name   string
-		chunks int
-		mk     func() core.Evaluator
+		name    string
+		patches bool
+		mk      func() core.Evaluator
 	}{
-		{"direct-1", 1, func() core.Evaluator { return core.Direct{Workers: 1} }},
-		{"direct-2", 2, func() core.Evaluator { return core.Direct{Workers: 2} }},
-		{"direct-4", 2, func() core.Evaluator { return core.Direct{Workers: 4} }},
-		{"engine", 0, func() core.Evaluator { return New(Options{}) }},
+		{"direct-1", false, func() core.Evaluator { return core.Direct{Workers: 1} }},
+		{"direct-4", false, func() core.Evaluator { return core.Direct{Workers: 4} }},
+		{"engine-1", true, func() core.Evaluator { return New(Options{Workers: 1}) }},
+		{"engine-4", true, func() core.Evaluator { return New(Options{Workers: 4}) }},
 	}
 }
 
@@ -92,14 +94,12 @@ func analyzeEach(t *testing.T, cfgs []core.Config) []*core.Result {
 
 // TestSweepsMatchPerPointAnalyze is the sweep driver's independent oracle:
 // SweepTIDS under all three option spellings and ExploreDesignSpace, run
-// through Direct at 1, 2 and 4 workers and through the engine, must equal
-// a full prepare per point (MTTSF, Ĉtotal and the failure split within
-// 1e-12) over N in {20, 40, 60} for voting, host-based and cluster-head
-// IDS. The solver is pinned to auto so full prepares and patched points
-// both take the exact block-triangular solve under any REPRO_SOLVER.
+// through Direct and through engines at 1 and 4 workers, must equal a full
+// prepare per point (MTTSF, Ĉtotal and the failure split within 1e-12)
+// over N in {20, 40, 60} for voting, host-based and cluster-head IDS. The
+// solver is pinned to auto so full prepares and patched points both take
+// the exact block-triangular solve under any REPRO_SOLVER.
 func TestSweepsMatchPerPointAnalyze(t *testing.T) {
-	// Twelve points: Direct{Workers: 2} and Direct{Workers: 4} both cut
-	// them into two chunks of minChunkPoints, Direct{Workers: 1} into one.
 	grid := []float64{5, 10, 15, 30, 60, 120, 240, 480, 600, 900, 1000, 1200}
 	spellings := []struct {
 		name string
@@ -139,9 +139,13 @@ func TestSweepsMatchPerPointAnalyze(t *testing.T) {
 								t.Errorf("N=%d %s m=%d %s/%s TIDS=%v: %s", n, proto.name, m, ev.name, sp.name, grid[i], d)
 							}
 						}
-						if chunks := ev.chunks; chunks > 0 && patched != uint64(len(grid)-chunks) {
-							t.Errorf("N=%d %s m=%d %s/%s: %d patched solves, want %d (one prepare per chunk)",
-								n, proto.name, m, ev.name, sp.name, patched, len(grid)-chunks)
+						want := uint64(0)
+						if ev.patches {
+							want = uint64(len(grid) - 1)
+						}
+						if patched != want {
+							t.Errorf("N=%d %s m=%d %s/%s: %d patched solves, want %d",
+								n, proto.name, m, ev.name, sp.name, patched, want)
 						}
 					}
 				}
@@ -182,11 +186,11 @@ func TestSweepsMatchPerPointAnalyze(t *testing.T) {
 	}
 }
 
-// TestConcurrentSweepsShareAnchors runs several chunked sweeps and an
-// incremental batch at once on one engine while other goroutines analyse
-// the engine-cached Prepared the sweeps anchor their sessions on. Run it
-// under -race: a session must never write into a Prepared the engine
-// shares, and every answer must still equal a full prepare per point.
+// TestConcurrentSweepsShareAnchors runs several sweeps and a batch at once
+// on one engine while other goroutines analyse the engine-cached Prepared
+// the family's pool anchors on. Run it under -race: a session must never
+// write into a Prepared the engine shares, and every answer must still
+// equal a full prepare per point.
 func TestConcurrentSweepsShareAnchors(t *testing.T) {
 	base := testConfig()
 	base.Solver = ctmc.BackendAuto
@@ -194,8 +198,8 @@ func TestConcurrentSweepsShareAnchors(t *testing.T) {
 	prev := core.SetDefaultEvaluator(e)
 	defer core.SetDefaultEvaluator(prev)
 
-	// Every grid starts at TIDS=5, so every sweep's first chunk anchors
-	// on the same engine-cached Prepared; twelve points make two chunks.
+	// Every grid shares one family, whose first miss (TIDS=5) anchors the
+	// pool on the engine-cached Prepared: every session is cloned from it.
 	const sweeps = 4
 	grids := make([][]float64, sweeps)
 	for g := range grids {
@@ -207,6 +211,12 @@ func TestConcurrentSweepsShareAnchors(t *testing.T) {
 	anchor, err := e.Prepared(anchorCfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := e.Eval(anchorCfg); err != nil {
+		t.Fatal(err)
+	}
+	if sp := familyPool(e, anchorCfg); sp == nil || sp.anchor != anchor {
+		t.Fatal("the family's first miss did not anchor its pool on the cached Prepared")
 	}
 	wantAnchor, err := core.Analyze(anchorCfg)
 	if err != nil {
@@ -263,7 +273,7 @@ func TestConcurrentSweepsShareAnchors(t *testing.T) {
 			c.TIDS = tids
 			cfgs = append(cfgs, c)
 		}
-		if _, err := e.EvalBatchIncremental(context.Background(), cfgs); err != nil {
+		if _, err := e.EvalBatchContext(context.Background(), cfgs); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -285,12 +295,12 @@ func chaosSeeds(t *testing.T) []uint64 {
 	return seeds
 }
 
-// TestChunkedSweepUnderSolverChaos runs the chunked sweep on a fresh
-// engine under a seeded solver fault schedule: forced breakdowns and
-// non-finite solutions on the primary rung of every full-prepare solve.
-// The degradation ladder must absorb them, the sessions must re-anchor
-// past any point that still fails, and every answer must match the
-// fault-free sweep within 1e-9.
+// TestChunkedSweepUnderSolverChaos runs a sweep on a fresh engine under a
+// seeded solver fault schedule: forced breakdowns and non-finite solutions
+// on the primary rung of every full-prepare solve and on every patched
+// solve. The degradation ladder must absorb the former, a point whose
+// patched solve fails must fall back to its own full prepare, and every
+// answer must match the fault-free sweep within 1e-9.
 func TestChunkedSweepUnderSolverChaos(t *testing.T) {
 	t.Cleanup(faultinject.Disable)
 	base := testConfig()
@@ -333,5 +343,48 @@ func TestChunkedSweepUnderSolverChaos(t *testing.T) {
 	t.Logf("solver faults fired: %d", fired)
 	if armed && fired == 0 {
 		t.Error("no solver fault fired across the seed matrix")
+	}
+}
+
+// TestSweepExploresOncePerFamily pins the one patch driver on a 24-point
+// TIDS sweep through fresh engines at 1, 2 and 8 workers: the family's
+// first miss explores, every other point patches a session cloned from
+// its anchor (so the sweep explores exactly once whatever the worker
+// count), and every answer equals a full prepare per point bit for bit.
+func TestSweepExploresOncePerFamily(t *testing.T) {
+	base := core.DefaultConfig()
+	base.N = 30
+	base.Solver = ctmc.BackendAuto
+	grid := make([]float64, 24)
+	for i := range grid {
+		grid[i] = 5 * math.Pow(240, float64(i)/float64(len(grid)-1))
+	}
+	cfgs := make([]core.Config, len(grid))
+	for i, tids := range grid {
+		cfgs[i] = base
+		cfgs[i].TIDS = tids
+	}
+	want := analyzeEach(t, cfgs)
+	for _, workers := range []int{1, 2, 8} {
+		prev := core.SetDefaultEvaluator(New(Options{Workers: workers}))
+		explored, patched := exploreCalls(), ctmc.PatchedSolves()
+		points, err := core.SweepTIDS(base, grid)
+		explored, patched = exploreCalls()-explored, ctmc.PatchedSolves()-patched
+		core.SetDefaultEvaluator(prev)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range grid {
+			if g, w := points[i].Result, want[i]; g.MTTSF != w.MTTSF || g.Ctotal != w.Ctotal ||
+				g.ProbC1 != w.ProbC1 || g.ProbC2 != w.ProbC2 {
+				t.Errorf("workers=%d TIDS=%v: got %+v, want %+v", workers, grid[i], g, w)
+			}
+		}
+		if obs.Armed() && explored != 1 {
+			t.Errorf("workers=%d: the sweep explored %d times, want 1", workers, explored)
+		}
+		if patched != uint64(len(grid)-1) {
+			t.Errorf("workers=%d: %d patched solves, want %d", workers, patched, len(grid)-1)
+		}
 	}
 }

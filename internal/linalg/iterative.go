@@ -11,9 +11,8 @@ type IterOpts struct {
 	// MaxIter bounds the number of iterations (default 20000).
 	MaxIter int
 	// Tol is the relative residual target ||Ax-b|| / ||b|| (default 1e-12).
+	// Every solve starts from the zero vector.
 	Tol float64
-	// X0 optionally provides a starting guess; it is not modified.
-	X0 Vector
 }
 
 func (o *IterOpts) defaults() {

@@ -25,19 +25,11 @@ func SolvePrecBiCGSTAB(a *CSR, b Vector, m Preconditioner, opts IterOpts) (Vecto
 		return nil, IterResult{}, fmt.Errorf("linalg: SolvePrecBiCGSTAB dimension mismatch")
 	}
 	x := NewVector(n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, IterResult{}, fmt.Errorf("linalg: SolvePrecBiCGSTAB X0 length %d, want %d", len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
 	bNorm := b.Norm2()
 	if bNorm == 0 {
 		bNorm = 1
 	}
-	r := NewVector(n)
-	a.MulVecTo(r, x)
-	r.Sub(b, r)
+	r := b.Clone() // the residual of the zero start
 	if rn := r.Norm2() / bNorm; rn <= opts.Tol {
 		return x, IterResult{Iterations: 0, Residual: rn}, nil
 	}
@@ -161,12 +153,6 @@ func SolveGMRES(a *CSR, b Vector, m Preconditioner, opts GMRESOpts) (Vector, Ite
 		restart = n
 	}
 	x := NewVector(n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, IterResult{}, fmt.Errorf("linalg: SolveGMRES X0 length %d, want %d", len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
 	bNorm := b.Norm2()
 	if bNorm == 0 {
 		bNorm = 1
