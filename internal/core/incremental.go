@@ -35,21 +35,10 @@ var ErrStructuralDelta = errors.New("core: structural config delta; full re-prep
 // concurrent use, and each Prepared it returns aliases the working
 // arrays: consume it (Analyze, ForwardSensitivities) before the next
 // Prepared call patches under it.
-//
-// Every patched model reads a voting table someone else filled when it
-// can: Model.votingProbs is a pure function of (Protocol, M, P1, P2) and
-// the per-group composition, so while those four match the donor's —
-// every TIDS sweep, and every run of equal m in a design space — a
-// rebuilt model reads the donor's frozen table (by pointer: no copy, and
-// no lock, since a frozen table is never written again), and otherwise
-// the previous patched model's. Only a point with new voting inputs fills
-// a table, during its Rerate, and freezes it. The detection table depends
-// on TIDS and is never carried.
 type PreparedDelta struct {
 	anchor Config
 	graph  *spn.Graph // CloneForRerate clone sharing the donor's structure
 	pc     *ctmc.PatchedChain
-	donor  *Model // the donor's model, whose voting table Explore froze
 	model  *Model // last patched point's model
 }
 
@@ -65,18 +54,19 @@ func NewPreparedDelta(donor *Prepared) (*PreparedDelta, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedDelta{anchor: donor.Model.Config, graph: g, pc: pc, donor: donor.Model}, nil
+	return &PreparedDelta{anchor: donor.Model.Config, graph: g, pc: pc}, nil
 }
 
 // SizeBytes estimates what the session holds privately: the re-rated
 // graph's edge arena, the patched chain's value arrays, Q_TT, factors and
-// scatter maps, and the last patched model's rate-factor tables. The structure it shares with its donor — markings,
-// state table, generator pattern, the voting table — is the donor's to
-// count (Prepared.SizeBytes).
+// scatter maps, and the last patched model's detection table. The
+// structure it shares with its donor — markings, state table, generator
+// pattern — is the donor's to count (Prepared.SizeBytes), and the voting
+// table is the store's.
 func (pd *PreparedDelta) SizeBytes() int64 {
 	size := pd.graph.EdgeBytes() + pd.pc.SizeBytes()
 	if pd.model != nil {
-		size += pd.model.tableBytes(pd.model.vote != pd.donor.vote)
+		size += pd.model.tableBytes()
 	}
 	return size
 }
@@ -97,11 +87,6 @@ func (pd *PreparedDelta) Prepared(cfg Config) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sameVoting(pd.donor.Config, cfg) {
-		model.vote = pd.donor.vote
-	} else if prev := pd.model; prev != nil && sameVoting(prev.Config, cfg) {
-		model.vote = prev.vote
-	}
 	// Swap the rebuilt net's rate function under the shared graph and
 	// replay the enabling scan — the ground-truth structural check.
 	pd.graph.Net = model.Net
@@ -109,7 +94,6 @@ func (pd *PreparedDelta) Prepared(cfg Config) (*Prepared, error) {
 		structuralRepreps.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrStructuralDelta, err)
 	}
-	model.vote.freeze()
 	pd.model = model
 	if err := pd.pc.PatchRates(pd.graph); err != nil {
 		structuralRepreps.Add(1)
@@ -124,10 +108,4 @@ func (pd *PreparedDelta) Prepared(cfg Config) (*Prepared, error) {
 	p := &Prepared{Model: model, Graph: pd.graph, Chain: pd.pc.Chain()}
 	p.solveOnce.Do(func() { p.sol = sol })
 	return p, nil
-}
-
-// sameVoting reports whether two configurations share every input of
-// Model.votingProbs besides the group composition it is keyed on.
-func sameVoting(a, b Config) bool {
-	return a.Protocol == b.Protocol && a.M == b.M && a.P1 == b.P1 && a.P2 == b.P2
 }

@@ -125,11 +125,11 @@ func TestPatchedResolveForcedRefactor(t *testing.T) {
 	}
 }
 
-// TestPreparedDeltaVotingMemoExact pins the voting-table hand-off between
-// patched points: a PreparedDelta walk that alternates m 3 -> 9 -> 3 and
-// moves P1 inside (0,1), so that consecutive points sometimes may and
-// sometimes must not share a table, equals a full prepare at every point
-// under both protocols.
+// TestPreparedDeltaVotingMemoExact pins patched points across voting
+// keys: a PreparedDelta walk that alternates m 3 -> 9 -> 3 and moves P1
+// inside (0,1), so that consecutive points sometimes read the same voting
+// table and sometimes another, equals a full prepare at every point under
+// both protocols.
 func TestPreparedDeltaVotingMemoExact(t *testing.T) {
 	steps := []struct {
 		m        int

@@ -8,7 +8,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/shapes"
 	"repro/internal/spn"
-	"repro/internal/voting"
 )
 
 // Place names of the SPN in Figure 1.
@@ -34,97 +33,18 @@ type Model struct {
 
 	attacker  shapes.Attacker
 	detection shapes.Detection
-	voteP     voting.Params
 
-	// Dense rate-factor tables. The voting error probabilities depend only
-	// on the per-group composition (nGood, nBad) and the detection rate
-	// only on the live member count, so both are pure functions of a
-	// small key and memoizing them is exact. Explore fills them: the rate
-	// function reads both for every live state, and so does every later
-	// pass over the graph (Rerate, the cost pass).
-	//
-	// vote's values also depend on (Protocol, M, P1, P2), never on TIDS.
-	// Explore (or a PreparedDelta's Rerate) freezes it, and from then on
-	// it is read-only and a miss is computed, not stored, so a frozen
-	// table is shared by pointer, without a copy or a lock, with every
-	// model of equal (Protocol, M, P1, P2) that re-rates the same graph:
-	// a PreparedDelta's patched models read their donor's. detect, D(md)
-	// by live count 0..N with NaN marking a slot not filled yet, depends
-	// on TIDS and is never shared.
-	vote   *voteTable
-	detect []float64
-}
-
-// votePair is one group composition's voting error probabilities.
-type votePair struct{ pfn, pfp float64 }
-
-// voteTable holds votingProbs by composition, rows[nGood][nBad], each row
-// only as long as the largest nBad reached with that nGood. A slot whose
-// pfn is NaN is not filled yet.
-type voteTable struct {
-	rows   [][]votePair
-	frozen bool
-}
-
-func (t *voteTable) get(nGood, nBad int) (votePair, bool) {
-	if nGood < len(t.rows) {
-		if row := t.rows[nGood]; nBad < len(row) {
-			if p := row[nBad]; !math.IsNaN(p.pfn) {
-				return p, true
-			}
-		}
-	}
-	return votePair{}, false
-}
-
-func (t *voteTable) put(nGood, nBad int, p votePair) {
-	if t.frozen {
-		return
-	}
-	for len(t.rows) <= nGood {
-		t.rows = append(t.rows, nil)
-	}
-	row := t.rows[nGood]
-	if row == nil {
-		// A live group holds at most about half as many compromised
-		// members as trusted ones (the C2 condition), so this capacity
-		// usually holds the whole row.
-		row = make([]votePair, 0, nGood/2+2)
-	}
-	for len(row) <= nBad {
-		row = append(row, votePair{pfn: math.NaN()})
-	}
-	row[nBad] = p
-	t.rows[nGood] = row
-}
-
-// freeze makes the table read-only, repacking its rows into one array
-// sized to the keys reached.
-func (t *voteTable) freeze() {
-	if t.frozen {
-		return
-	}
-	total := 0
-	for _, row := range t.rows {
-		total += len(row)
-	}
-	flat := make([]votePair, 0, total)
-	for i, row := range t.rows {
-		start := len(flat)
-		flat = append(flat, row...)
-		t.rows[i] = flat[start:len(flat):len(flat)]
-	}
-	t.rows = t.rows[:len(t.rows):len(t.rows)]
-	t.frozen = true
-}
-
-func (t *voteTable) sizeBytes() int64 {
-	const header, pair = 24, 16
-	size := int64(cap(t.rows)) * header
-	for _, row := range t.rows {
-		size += int64(cap(row)) * pair
-	}
-	return size
+	// Dense rate-factor tables, read for every live state by the rate
+	// function and by every later pass over the graph (Rerate, the cost
+	// pass). vote holds (Pfn, Pfp) by per-group composition: a frozen
+	// table from the process-wide store (votetable.go), shared by every
+	// model of equal (Protocol, M, P1, P2) and read without a lock; a
+	// composition beyond it is computed, not stored. detect holds D(md)
+	// by live count 0..N, NaN marking a slot not filled yet; it depends on
+	// TIDS and belongs to this model alone.
+	voteKey voteKey
+	vote    *voteTable
+	detect  []float64
 }
 
 // BuildModel constructs the Figure 1 SPN under the given configuration.
@@ -144,11 +64,11 @@ func BuildModel(cfg Config) (*Model, error) {
 		Net:       spn.New(),
 		attacker:  cfg.attacker(),
 		detection: cfg.detection(),
-		voteP:     voting.Params{M: cfg.M, P1: cfg.P1, P2: cfg.P2},
-		vote:      &voteTable{},
+		voteKey:   voteKeyOf(cfg),
 		detect:    make([]float64, cfg.N+1),
 		tRK:       -1,
 	}
+	m.vote = voteTables.table(m.voteKey, voteExtent(cfg))
 	for i := range m.detect {
 		m.detect[i] = math.NaN()
 	}
@@ -267,14 +187,10 @@ func (m *Model) rates(mk spn.Marking, out []float64) {
 	out[m.tMER] = cfg.MergeRate * float64(ng-1)
 }
 
-// tableBytes reports the bytes of the model's rate-factor tables;
-// withVote says whether to count the voting table, which may be shared.
-func (m *Model) tableBytes(withVote bool) int64 {
-	size := int64(cap(m.detect)) * 8
-	if withVote {
-		size += m.vote.sizeBytes()
-	}
-	return size
+// tableBytes reports the bytes of the model's own rate-factor table. The
+// voting table belongs to the process-wide store, which accounts for it.
+func (m *Model) tableBytes() int64 {
+	return int64(cap(m.detect)) * 8
 }
 
 func (m *Model) initialMarking() spn.Marking {
@@ -368,14 +284,7 @@ func (m *Model) votingProbs(nGood, nBad int) (pfn, pfp float64) {
 	if p, ok := m.vote.get(nGood, nBad); ok {
 		return p.pfn, p.pfp
 	}
-	if m.Config.Protocol == ProtocolClusterHead {
-		pfn = voting.ClusterHeadFalseNegative(nGood, nBad, m.voteP.P1)
-		pfp = voting.ClusterHeadFalsePositive(nGood, nBad, m.voteP.P2)
-	} else {
-		pfn, pfp = m.voteP.Probabilities(nGood, nBad)
-	}
-	m.vote.put(nGood, nBad, votePair{pfn, pfp})
-	return pfn, pfp
+	return m.voteKey.probs(nGood, nBad, m.voteKey.params().Probabilities)
 }
 
 // detectionRate evaluates D(md) with md = Ninit/(Tm + UCm), memoized on the
@@ -414,8 +323,7 @@ func (m *Model) rekeyTime(mk spn.Marking) float64 {
 // exploration from the token-count bounds of the Figure 1 net: Tm ≤ N,
 // UCm ≲ Tm/2 (the C2 condition), NG ≤ MaxGroups, and — in the extended
 // model — a DCm axis that multiplies the space by roughly N/2. The rate
-// function reads both rate-factor tables on every live state, so they
-// hold every key the graph needs when Explore freezes the voting table.
+// function fills the detection table as the graph is explored.
 func (m *Model) Explore() (*spn.Graph, error) {
 	sp := obs.StartStage(obs.StageExplore)
 	defer sp.End()
@@ -428,10 +336,5 @@ func (m *Model) Explore() (*spn.Graph, error) {
 	if hint > maxStates {
 		hint = maxStates
 	}
-	g, err := m.Net.Explore(m.Initial, spn.ExploreOpts{MaxStates: maxStates, ExpectedStates: hint})
-	if err != nil {
-		return nil, err
-	}
-	m.vote.freeze()
-	return g, nil
+	return m.Net.Explore(m.Initial, spn.ExploreOpts{MaxStates: maxStates, ExpectedStates: hint})
 }

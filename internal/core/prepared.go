@@ -63,12 +63,12 @@ func Prepare(cfg Config) (*Prepared, error) {
 // solved: the reachability graph (spn.Graph.SizeBytes, from its arrays'
 // capacities), the CTMC with the solve state its first solve builds
 // (ctmc.Chain.SizeBytes: Q_TT^T and the block-triangular factors), the
-// sojourn vector, and the model's rate-factor tables. It holds before the
-// solve too, so the evaluation engine can charge a model to its
-// byte-budgeted LRU when it caches it.
+// sojourn vector, and the model's detection table (the voting table is the
+// process-wide store's). It holds before the solve too, so the evaluation
+// engine can charge a model to its byte-budgeted LRU when it caches it.
 func (p *Prepared) SizeBytes() int64 {
 	return p.Graph.SizeBytes() + p.Chain.SizeBytes() + int64(p.Graph.NumStates())*8 +
-		p.Model.tableBytes(true)
+		p.Model.tableBytes()
 }
 
 // Solution returns the sojourn-time solve for the initial marking,

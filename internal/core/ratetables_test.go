@@ -6,14 +6,19 @@ import (
 	"testing"
 
 	"repro/internal/ctmc"
+	"repro/internal/voting"
 )
 
-// TestRateTablesSizedToReachedKeys pins the voting table's extent after
-// Explore: one row per nGood up to the largest reached, each row as long
-// as the largest nBad reached with that nGood — not an (N+1)² square.
+// TestRateTablesSizedToReachedKeys pins the store's voting-table extent:
+// a model of a key the store has not seen gets a table of exactly N+1
+// rows, row nGood of voteRowLen(nGood) slots in one array, which holds
+// every composition the explored graph reaches and stays under half the
+// (N+1)² square. A smaller N reads the same table; a larger N grows it
+// into a new table that keeps the old rows and computes only the new ones.
 func TestRateTablesSizedToReachedKeys(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N = 40
+	cfg.P1 = 0.0131 // a key no other test uses, so the table is fresh
 	m, err := BuildModel(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -22,37 +27,207 @@ func TestRateTablesSizedToReachedKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxBad := map[int]int{}
-	maxGood := -1
-	for _, mk := range g.States {
-		if !m.alive(mk) || mk[m.tm]+mk[m.ucm] == 0 {
-			continue
-		}
-		nGood, nBad, _ := m.perGroup(mk)
-		if b, ok := maxBad[nGood]; !ok || nBad > b {
-			maxBad[nGood] = nBad
-		}
-		maxGood = max(maxGood, nGood)
-	}
-	if !m.vote.frozen {
-		t.Fatal("Explore left the voting table writable")
-	}
-	if len(m.vote.rows) != maxGood+1 {
-		t.Fatalf("voting table has %d rows, want %d", len(m.vote.rows), maxGood+1)
+	if got := m.vote.extent(); got != cfg.N {
+		t.Fatalf("voting table extent %d, want N = %d", got, cfg.N)
 	}
 	slots := 0
 	for nGood, row := range m.vote.rows {
-		want := 0
-		if b, ok := maxBad[nGood]; ok {
-			want = b + 1
-		}
-		if len(row) != want || cap(row) != want {
+		if want := voteRowLen(nGood); len(row) != want || cap(row) != want {
 			t.Fatalf("row nGood=%d: len %d cap %d, want %d", nGood, len(row), cap(row), want)
 		}
 		slots += len(row)
 	}
+	for _, mk := range g.States {
+		if !m.alive(mk) || mk[m.tm]+mk[m.ucm] == 0 {
+			continue
+		}
+		if nGood, nBad, _ := m.perGroup(mk); nBad >= voteRowLen(nGood) {
+			t.Fatalf("reached composition (%d, %d) lies beyond its row", nGood, nBad)
+		}
+	}
 	if square := (cfg.N + 1) * (cfg.N + 1); 2*slots > square {
 		t.Errorf("voting table holds %d slots, over half the (N+1)² = %d square", slots, square)
+	}
+
+	built, _, _ := VoteTableStats()
+	small := cfg
+	small.N = 30
+	ms, err := BuildModel(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms.vote != m.vote {
+		t.Error("a smaller N did not read the stored table")
+	}
+	large := cfg
+	large.N = 50
+	ml, err := BuildModel(large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ml.vote.extent(); got != large.N {
+		t.Fatalf("grown table extent %d, want %d", got, large.N)
+	}
+	for nGood, row := range m.vote.rows {
+		if &ml.vote.rows[nGood][0] != &row[0] {
+			t.Fatalf("grown table recomputed row nGood=%d", nGood)
+		}
+	}
+	if after, _, _ := VoteTableStats(); after != built+1 {
+		t.Errorf("reading at N=30 and growing to N=50 built %d tables, want 1", after-built)
+	}
+}
+
+// TestVoteTableMatchesProbabilities pins the memoized fill, and the
+// cluster-head closed forms, bitwise to voting.Params.Probabilities and
+// the plain cluster-head functions over every slot of a table grown in
+// two steps, for a single voter, panels at and far above the voter pool
+// (M = 1<<30) and P1, P2 at 0 and 1.
+func TestVoteTableMatchesProbabilities(t *testing.T) {
+	probs := [][2]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {0.01, 0.01}, {0.3, 0.05}}
+	for _, proto := range []Protocol{ProtocolVoting, ProtocolClusterHead} {
+		for _, m := range []int{1, 2, 5, 9, 40, 1 << 30} {
+			for _, pp := range probs {
+				cfg := DefaultConfig()
+				cfg.Protocol, cfg.M, cfg.P1, cfg.P2 = proto, m, pp[0], pp[1]
+				key := voteKeyOf(cfg)
+				tab := (*voteTable)(nil).grown(key, 25).grown(key, 60)
+				params := voting.Params{M: m, P1: pp[0], P2: pp[1]}
+				for nGood, row := range tab.rows {
+					for nBad, got := range row {
+						wantFN, wantFP := params.Probabilities(nGood, nBad)
+						if proto == ProtocolClusterHead {
+							wantFN = voting.ClusterHeadFalseNegative(nGood, nBad, pp[0])
+							wantFP = voting.ClusterHeadFalsePositive(nGood, nBad, pp[1])
+						}
+						if math.Float64bits(got.pfn) != math.Float64bits(wantFN) ||
+							math.Float64bits(got.pfp) != math.Float64bits(wantFP) {
+							t.Fatalf("%v M=%d P=%v (%d good, %d bad): table (%v, %v), direct (%v, %v)",
+								proto, m, pp, nGood, nBad, got.pfn, got.pfp, wantFN, wantFP)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVoteTableCoversExploredKeys checks that no model of the
+// explore-equivalence grid ever misses its frozen voting table (a miss is
+// computed, not stored): every live state's composition is in the table,
+// for the rate function and the cost pass alike.
+func TestVoteTableCoversExploredKeys(t *testing.T) {
+	for _, v := range refExploreGrid() {
+		m, err := BuildModel(v.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := m.Explore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mk := range g.States {
+			if !m.alive(mk) || mk[m.tm]+mk[m.ucm] == 0 {
+				continue
+			}
+			nGood, nBad, _ := m.perGroup(mk)
+			if _, ok := m.vote.get(nGood, nBad); !ok {
+				t.Errorf("%s: composition (%d, %d) of marking %v misses the voting table", v.name, nGood, nBad, mk)
+			}
+		}
+	}
+}
+
+// TestVoteStoreBounded fills the store with more keys than it keeps and
+// with one table larger than its byte bound: it never holds more than
+// MaxVoteTables tables or MaxVoteTableBytes bytes, the oversized table is
+// still handed to its caller, and an evicted key is rebuilt on demand.
+func TestVoteStoreBounded(t *testing.T) {
+	cfg := DefaultConfig()
+	first := voteKeyOf(cfg)
+	first.p1 = math.Float64bits(0.0271)
+	voteTables.table(first, 20)
+	for i := 0; i < 2*MaxVoteTables; i++ {
+		c := cfg
+		c.P1 = 0.5 + float64(i)/1000
+		voteTables.table(voteKeyOf(c), 20)
+		if _, bytes, tables := VoteTableStats(); tables > MaxVoteTables || bytes > MaxVoteTableBytes {
+			t.Fatalf("store holds %d tables, %d bytes; bounds %d, %d", tables, bytes, MaxVoteTables, MaxVoteTableBytes)
+		}
+	}
+	big := cfg
+	big.P1 = 0.0272
+	if tab := voteTables.table(voteKeyOf(big), 600); tab.extent() != 600 || tab.sizeBytes() <= MaxVoteTableBytes {
+		t.Fatalf("oversized table: extent %d, %d bytes", tab.extent(), tab.sizeBytes())
+	}
+	if _, bytes, _ := VoteTableStats(); bytes > MaxVoteTableBytes {
+		t.Fatalf("store holds %d bytes after an oversized table, bound %d", bytes, MaxVoteTableBytes)
+	}
+	built, _, _ := VoteTableStats()
+	if tab := voteTables.table(first, 20); tab.extent() != 20 {
+		t.Fatalf("rebuilt table extent %d", tab.extent())
+	}
+	if after, _, _ := VoteTableStats(); after != built+1 {
+		t.Errorf("evicted key rebuilt %d times, want 1", after-built)
+	}
+}
+
+// TestVoteStoreConcurrentGrowth has many goroutines build models of one
+// key and of several keys at growing N, as the engine's workers do: every
+// model reads a table covering its N whose every slot is bitwise the
+// direct computation, and concurrent models of one key wait for one fill
+// rather than each filling. The race job repeats it.
+func TestVoteStoreConcurrentGrowth(t *testing.T) {
+	const workers = 8
+	ns := []int{8, 12, 16, 20}
+	keyCfg := func(w int, shared bool) Config {
+		c := DefaultConfig()
+		c.P1 = 0.0413
+		if !shared {
+			c.M = 3 + 2*(w%3)
+		}
+		return c
+	}
+	built, _, _ := VoteTableStats()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, n := range ns {
+				for _, shared := range []bool{true, false} {
+					c := keyCfg(w, shared)
+					c.N = n
+					m, err := BuildModel(c)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if m.vote.extent() < n {
+						t.Errorf("N=%d model got a table of extent %d", n, m.vote.extent())
+						return
+					}
+					params := voting.Params{M: c.M, P1: c.P1, P2: c.P2}
+					for nGood := 0; nGood <= n; nGood++ {
+						for nBad := 0; nBad < voteRowLen(nGood); nBad++ {
+							got, _ := m.vote.get(nGood, nBad)
+							pfn, pfp := params.Probabilities(nGood, nBad)
+							if got.pfn != pfn || got.pfp != pfp {
+								t.Errorf("M=%d (%d, %d): table (%v, %v), direct (%v, %v)",
+									c.M, nGood, nBad, got.pfn, got.pfp, pfn, pfp)
+								return
+							}
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Three keys, M = 3, 5 and 7 (the shared key is M = 5), each built at
+	// most once per N.
+	if after, _, _ := VoteTableStats(); after-built > uint64(3*len(ns)) {
+		t.Errorf("%d tables built for 3 keys at %d sizes", after-built, len(ns))
 	}
 }
 
@@ -105,10 +280,10 @@ func TestRerateAndCostPassAllocateNothing(t *testing.T) {
 }
 
 // TestSessionsShareDonorVotingTable has several sessions patch points off
-// one donor while another goroutine analyses that donor: every session
-// whose voting inputs match the donor's reads the donor's table in place
-// (no copy, no lock), and every answer is bitwise the full path's. The
-// race job repeats it.
+// one donor while another goroutine analyses that donor: every patched
+// model reads the store's table the donor reads, in place (no copy, no
+// lock), and every answer is bitwise the full path's. The race job
+// repeats it.
 func TestSessionsShareDonorVotingTable(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N = 20

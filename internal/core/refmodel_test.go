@@ -197,9 +197,9 @@ func refExploreGrid() []refVariant {
 
 // TestRatesMatchReferenceAfterRerate pins the re-rate half of the oracle:
 // one session per grid model walks rate-only deltas of TIDS, LambdaC, M
-// and P1 — reading the donor's voting table, filling its own, and reading
-// the previous patched model's — and after every Rerate each edge's rate
-// is bitwise the reference closure's under the new configuration.
+// and P1 — reading the donor's voting key, new keys and keys read before
+// — and after every Rerate each edge's rate is bitwise the reference
+// closure's under the new configuration.
 func TestRatesMatchReferenceAfterRerate(t *testing.T) {
 	for _, v := range refExploreGrid() {
 		t.Run(v.name, func(t *testing.T) {

@@ -556,3 +556,42 @@ func TestPinnedBackendMissesMatchAnalyze(t *testing.T) {
 		}
 	}
 }
+
+// TestVoteTablesBuiltOncePerKeyAndSize drives a 96-point stream through
+// one engine at 2 workers in 4-point EvalBatch calls: N steps 20 → 30 →
+// 40, and every N phase cycles m through {3, 5, 7, 9} over random TIDS and
+// detection shapes. Every model, anchor or patched, reads the process-wide
+// voting-table store, so each of the four keys is filled once and grown
+// once per larger N: at most 4 tables per N growth, however the points
+// spread over families, sessions and workers.
+func TestVoteTablesBuiltOncePerKeyAndSize(t *testing.T) {
+	r := rand.New(rand.NewPCG(27, 1))
+	ns := []int{20, 30, 40}
+	ms := []int{3, 5, 7, 9}
+	var cfgs []core.Config
+	for _, n := range ns {
+		for i := 0; i < 32; i++ {
+			c := core.DefaultConfig()
+			c.N, c.M = n, ms[i%len(ms)]
+			c.P1 = 0.0117 // keys no other test fills
+			c.Detection = shapes.Kinds()[r.IntN(len(shapes.Kinds()))]
+			c.TIDS = 5 * math.Pow(240, r.Float64())
+			cfgs = append(cfgs, c)
+		}
+	}
+	e := New(Options{Workers: 2})
+	built, _, _ := core.VoteTableStats()
+	for i := 0; i < len(cfgs); i += 4 {
+		if _, err := e.EvalBatch(cfgs[i : i+4]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, bytes, _ := core.VoteTableStats()
+	if got, bound := after-built, uint64(len(ms)*len(ns)); got > bound || got < uint64(len(ms)) {
+		t.Errorf("%d voting tables built for %d keys over %d N growths, want %d to %d",
+			got, len(ms), len(ns), len(ms), bound)
+	}
+	if bytes <= 0 {
+		t.Errorf("store reports %d bytes after the stream", bytes)
+	}
+}

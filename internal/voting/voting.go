@@ -19,6 +19,7 @@ package voting
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/combin"
@@ -67,6 +68,18 @@ func EffectiveM(pool, m int) int {
 // every compromised voter (collusion) and from good voters that err with
 // probability p2.
 func FalsePositive(nGood, nBad, m int, p2 float64) float64 {
+	return falsePositive(nGood, nBad, m, evictFactor(p2))
+}
+
+// evictFactor returns FalsePositive's binomial factor for k compromised
+// voters among an effective panel of m: the probability that the m-k good
+// voters add the Majority(m)-k negative votes still needed.
+func evictFactor(p2 float64) func(m, k int) float64 {
+	return func(m, k int) float64 { return combin.BinomialTail(m-k, p2, Majority(m)-k) }
+}
+
+// falsePositive is FalsePositive with its binomial factor supplied by tail.
+func falsePositive(nGood, nBad, m int, tail func(m, k int) float64) float64 {
 	if nGood < 1 {
 		return 0 // no good node exists to be falsely evicted
 	}
@@ -75,7 +88,6 @@ func FalsePositive(nGood, nBad, m int, p2 float64) float64 {
 	if m < 1 {
 		return 0 // nobody to vote: no eviction can happen
 	}
-	maj := Majority(m)
 	p := 0.0
 	lo, hi := combin.HypergeomSupport(pool, nBad, m)
 	for k := lo; k <= hi; k++ { // k compromised voters among the m
@@ -83,8 +95,7 @@ func FalsePositive(nGood, nBad, m int, p2 float64) float64 {
 		if hyp == 0 {
 			continue
 		}
-		need := maj - k // additional negative votes needed from good voters
-		p += hyp * combin.BinomialTail(m-k, p2, need)
+		p += hyp * tail(m, k)
 	}
 	return combin.ClampProb(p)
 }
@@ -97,6 +108,19 @@ func FalsePositive(nGood, nBad, m int, p2 float64) float64 {
 // negative votes come only from good voters that detect correctly with
 // probability 1-p1 (compromised voters vote to keep the target).
 func FalseNegative(nGood, nBad, m int, p1 float64) float64 {
+	return falseNegative(nGood, nBad, m, keepFactor(p1))
+}
+
+// keepFactor returns FalseNegative's binomial factor for k compromised
+// voters among an effective panel of m: negative votes come only from the
+// m-k good voters, ~ Binomial(m-k, 1-p1), and the target is kept if they
+// fall short of Majority(m).
+func keepFactor(p1 float64) func(m, k int) float64 {
+	return func(m, k int) float64 { return combin.BinomialCDF(m-k, 1-p1, Majority(m)-1) }
+}
+
+// falseNegative is FalseNegative with its binomial factor supplied by kept.
+func falseNegative(nGood, nBad, m int, kept func(m, k int) float64) float64 {
 	if nBad < 1 {
 		return 0 // vacuous: no bad target exists
 	}
@@ -105,7 +129,6 @@ func FalseNegative(nGood, nBad, m int, p1 float64) float64 {
 	if m < 1 {
 		return 1 // nobody can vote: the bad node is trivially kept
 	}
-	maj := Majority(m)
 	p := 0.0
 	lo, hi := combin.HypergeomSupport(pool, nBad-1, m)
 	for k := lo; k <= hi; k++ { // k compromised voters among the m
@@ -113,8 +136,7 @@ func FalseNegative(nGood, nBad, m int, p1 float64) float64 {
 		if hyp == 0 {
 			continue
 		}
-		// Negative votes ~ Binomial(m-k, 1-p1); target kept if < maj.
-		p += hyp * combin.BinomialCDF(m-k, 1-p1, maj-1)
+		p += hyp * kept(m, k)
 	}
 	return combin.ClampProb(p)
 }
@@ -124,6 +146,60 @@ func FalseNegative(nGood, nBad, m int, p1 float64) float64 {
 func (p Params) Probabilities(nGood, nBad int) (pfn, pfp float64) {
 	return FalseNegative(nGood, nBad, p.M, p.P1),
 		FalsePositive(nGood, nBad, p.M, p.P2)
+}
+
+// Memo evaluates Probabilities for many group compositions under one
+// Params. Each term of Equation 1's sums is a hypergeometric weight times
+// a binomial factor that depends only on the effective panel size m and
+// the number k of compromised voters among it, not on the composition, so
+// Memo computes each factor once and reuses it for every composition.
+// Its results are bitwise equal to Params.Probabilities: the same factors
+// enter the same sums in the same order. The factor tables are indexed by
+// the effective m, which is at most the voter pool, so their size follows
+// the compositions asked for, never Params.M. Not safe for concurrent use.
+type Memo struct {
+	p           Params
+	evict, keep factorTable
+}
+
+// NewMemo returns an empty Memo for p.
+func NewMemo(p Params) *Memo {
+	return &Memo{p: p, evict: factorTable{f: evictFactor(p.P2)}, keep: factorTable{f: keepFactor(p.P1)}}
+}
+
+// Probabilities returns (Pfn, Pfp) for the composition, as
+// Params.Probabilities does.
+func (c *Memo) Probabilities(nGood, nBad int) (pfn, pfp float64) {
+	return falseNegative(nGood, nBad, c.p.M, c.keep.at),
+		falsePositive(nGood, nBad, c.p.M, c.evict.at)
+}
+
+// factorTable memoizes f(m, k) for 0 <= k <= m, one row per effective m
+// allocated on first use; NaN marks a slot not computed yet (f is a
+// probability, never NaN).
+type factorTable struct {
+	f    func(m, k int) float64
+	rows [][]float64
+}
+
+func (t *factorTable) at(m, k int) float64 {
+	if m >= len(t.rows) {
+		t.rows = append(t.rows, make([][]float64, m+1-len(t.rows))...)
+	}
+	row := t.rows[m]
+	if row == nil {
+		row = make([]float64, m+1)
+		for i := range row {
+			row[i] = math.NaN()
+		}
+		t.rows[m] = row
+	}
+	if v := row[k]; !math.IsNaN(v) {
+		return v
+	}
+	v := t.f(m, k)
+	row[k] = v
+	return v
 }
 
 // FalseAlarm returns the combined false-alarm probability Pfp + Pfn used in

@@ -1,6 +1,7 @@
 package voting
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -273,5 +274,59 @@ func TestProbabilitiesPair(t *testing.T) {
 	}
 	if pfp != FalsePositive(25, 3, 5, 0.03) {
 		t.Error("Probabilities pfp mismatch")
+	}
+}
+
+// TestMemoMatchesProbabilities pins Memo bitwise to Params.Probabilities
+// over a composition grid, including a single voter, panels at or above
+// the voter pool (M = 1<<30 votes with everyone) and P1, P2 at 0 and 1.
+// One Memo serves each parameter set's whole grid, so later compositions
+// read factors that earlier ones computed.
+func TestMemoMatchesProbabilities(t *testing.T) {
+	probs := [][2]float64{{0, 1}, {1, 0}, {0.01, 0.01}, {0.37, 0}, {1, 1}, {0.2, 0.6}}
+	for _, m := range []int{1, 2, 5, 9, 40, 1 << 30} {
+		for _, pp := range probs {
+			p := Params{M: m, P1: pp[0], P2: pp[1]}
+			memo := NewMemo(p)
+			for nGood := 0; nGood <= 60; nGood++ {
+				for nBad := 0; nBad <= 40; nBad++ {
+					gotFN, gotFP := memo.Probabilities(nGood, nBad)
+					wantFN, wantFP := p.Probabilities(nGood, nBad)
+					if math.Float64bits(gotFN) != math.Float64bits(wantFN) ||
+						math.Float64bits(gotFP) != math.Float64bits(wantFP) {
+						t.Fatalf("%+v (%d good, %d bad): memo (%v, %v), plain (%v, %v)",
+							p, nGood, nBad, gotFN, gotFP, wantFN, wantFP)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkVoteTableFill fills a voting table the way core does, every
+// composition with nGood <= N and nBad <= nGood/2+1, through one Memo
+// against plain Params.Probabilities.
+func BenchmarkVoteTableFill(b *testing.B) {
+	p := Params{M: 5, P1: 0.01, P2: 0.01}
+	fill := func(n int, probs func(nGood, nBad int) (float64, float64)) (s float64) {
+		for nGood := 0; nGood <= n; nGood++ {
+			for nBad := 0; nBad <= nGood/2+1; nBad++ {
+				pfn, pfp := probs(nGood, nBad)
+				s += pfn + pfp
+			}
+		}
+		return s
+	}
+	for _, n := range []int{40, 100} {
+		b.Run(fmt.Sprintf("N=%d/plain", n), func(b *testing.B) {
+			for b.Loop() {
+				fill(n, p.Probabilities)
+			}
+		})
+		b.Run(fmt.Sprintf("N=%d/memo", n), func(b *testing.B) {
+			for b.Loop() {
+				fill(n, NewMemo(p).Probabilities)
+			}
+		})
 	}
 }
