@@ -201,6 +201,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MeanHops = %v, need >= 1", c.MeanHops)
 	case c.ShapeP <= 1:
 		return fmt.Errorf("core: ShapeP = %v, need > 1", c.ShapeP)
+	case c.Attacker < shapes.Logarithmic || c.Attacker > shapes.Polynomial:
+		return fmt.Errorf("core: Attacker = %v, not a shape", c.Attacker)
+	case c.Detection < shapes.Logarithmic || c.Detection > shapes.Polynomial:
+		return fmt.Errorf("core: Detection = %v, not a shape", c.Detection)
 	case c.Parallelism < 0:
 		return fmt.Errorf("core: Parallelism = %d, need >= 0", c.Parallelism)
 	}

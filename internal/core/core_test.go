@@ -39,6 +39,8 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		"ShapeP":    func(c *Config) { c.ShapeP = 1 },
 		"Churn":     func(c *Config) { c.JoinRate = -1 },
 		"Partition": func(c *Config) { c.PartitionRate = -1 },
+		"Attacker":  func(c *Config) { c.Attacker = 10 },
+		"Detection": func(c *Config) { c.Detection = -1 },
 	}
 	for name, mut := range mutations {
 		cfg := DefaultConfig()

@@ -13,8 +13,8 @@ func init() {
 		func() float64 { return float64(StructuralRepreps()) })
 	r.CounterFunc("repro_vote_tables_built_total",
 		"Voting tables filled or grown to a larger N by the process-wide store.",
-		func() float64 { built, _, _ := VoteTableStats(); return float64(built) })
+		func() float64 { built, _ := VoteTableStats(); return float64(built) })
 	r.GaugeFunc("repro_vote_table_bytes",
 		"Bytes of the voting tables the process-wide store holds.",
-		func() float64 { _, bytes, _ := VoteTableStats(); return float64(bytes) })
+		func() float64 { _, bytes := VoteTableStats(); return float64(bytes) })
 }

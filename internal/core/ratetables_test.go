@@ -49,7 +49,7 @@ func TestRateTablesSizedToReachedKeys(t *testing.T) {
 		t.Errorf("voting table holds %d slots, over half the (N+1)² = %d square", slots, square)
 	}
 
-	built, _, _ := VoteTableStats()
+	built, _ := VoteTableStats()
 	small := cfg
 	small.N = 30
 	ms, err := BuildModel(small)
@@ -73,7 +73,7 @@ func TestRateTablesSizedToReachedKeys(t *testing.T) {
 			t.Fatalf("grown table recomputed row nGood=%d", nGood)
 		}
 	}
-	if after, _, _ := VoteTableStats(); after != built+1 {
+	if after, _ := VoteTableStats(); after != built+1 {
 		t.Errorf("reading at N=30 and growing to N=50 built %d tables, want 1", after-built)
 	}
 }
@@ -138,36 +138,62 @@ func TestVoteTableCoversExploredKeys(t *testing.T) {
 	}
 }
 
-// TestVoteStoreBounded fills the store with more keys than it keeps and
-// with one table larger than its byte bound: it never holds more than
-// MaxVoteTables tables or MaxVoteTableBytes bytes, the oversized table is
-// still handed to its caller, and an evicted key is rebuilt on demand.
+// storedVoteTable returns the table the store holds for key, or nil.
+func storedVoteTable(key voteKey) *voteTable {
+	voteTables.mu.Lock()
+	defer voteTables.mu.Unlock()
+	if el, ok := voteTables.entries[key]; ok {
+		return el.Value.(*voteEntry).table
+	}
+	return nil
+}
+
+// TestVoteStoreBounded fills the store with more bytes of tables than it
+// keeps and then asks for one table larger than its bound: the store never
+// holds more than MaxVoteTableBytes, evicts the least recently used keys
+// first, hands the oversized table to its caller without storing it or
+// evicting anything for it, and rebuilds an evicted key on demand.
 func TestVoteStoreBounded(t *testing.T) {
 	cfg := DefaultConfig()
-	first := voteKeyOf(cfg)
-	first.p1 = math.Float64bits(0.0271)
-	voteTables.table(first, 20)
-	for i := 0; i < 2*MaxVoteTables; i++ {
+	keyOf := func(p1 float64) voteKey {
 		c := cfg
-		c.P1 = 0.5 + float64(i)/1000
-		voteTables.table(voteKeyOf(c), 20)
-		if _, bytes, tables := VoteTableStats(); tables > MaxVoteTables || bytes > MaxVoteTableBytes {
-			t.Fatalf("store holds %d tables, %d bytes; bounds %d, %d", tables, bytes, MaxVoteTables, MaxVoteTableBytes)
+		c.P1 = p1
+		return voteKeyOf(c)
+	}
+	first := keyOf(0.0271)
+	voteTables.table(first, 20)
+	var last voteKey
+	for i := 0; i < 12; i++ { // 12 tables of about 45 KiB each
+		last = keyOf(0.5 + float64(i)/1000)
+		voteTables.table(last, 100)
+		if _, bytes := VoteTableStats(); bytes > MaxVoteTableBytes {
+			t.Fatalf("store holds %d bytes, bound %d", bytes, MaxVoteTableBytes)
 		}
 	}
-	big := cfg
-	big.P1 = 0.0272
-	if tab := voteTables.table(voteKeyOf(big), 600); tab.extent() != 600 || tab.sizeBytes() <= MaxVoteTableBytes {
+	if storedVoteTable(first) != nil {
+		t.Fatal("the least recently used key survived twice the bound in newer tables")
+	}
+	resident := storedVoteTable(last)
+	if resident == nil {
+		t.Fatal("the most recently used key was evicted")
+	}
+	_, before := VoteTableStats()
+	big := keyOf(0.0272)
+	if tab := voteTables.table(big, 300); tab.extent() != 300 || tab.sizeBytes() <= MaxVoteTableBytes {
 		t.Fatalf("oversized table: extent %d, %d bytes", tab.extent(), tab.sizeBytes())
 	}
-	if _, bytes, _ := VoteTableStats(); bytes > MaxVoteTableBytes {
-		t.Fatalf("store holds %d bytes after an oversized table, bound %d", bytes, MaxVoteTableBytes)
+	if storedVoteTable(big) != nil {
+		t.Error("the store kept a table over its byte bound")
 	}
-	built, _, _ := VoteTableStats()
+	if _, after := VoteTableStats(); after != before || storedVoteTable(last) != resident {
+		t.Errorf("an oversized table changed the store: %d -> %d bytes, resident key held: %v",
+			before, after, storedVoteTable(last) == resident)
+	}
+	built, _ := VoteTableStats()
 	if tab := voteTables.table(first, 20); tab.extent() != 20 {
 		t.Fatalf("rebuilt table extent %d", tab.extent())
 	}
-	if after, _, _ := VoteTableStats(); after != built+1 {
+	if after, _ := VoteTableStats(); after != built+1 {
 		t.Errorf("evicted key rebuilt %d times, want 1", after-built)
 	}
 }
@@ -175,8 +201,9 @@ func TestVoteStoreBounded(t *testing.T) {
 // TestVoteStoreConcurrentGrowth has many goroutines build models of one
 // key and of several keys at growing N, as the engine's workers do: every
 // model reads a table covering its N whose every slot is bitwise the
-// direct computation, and concurrent models of one key wait for one fill
-// rather than each filling. The race job repeats it.
+// direct computation, and the store ends holding each key's largest
+// table, whichever of the concurrent fills finished last. The race job
+// repeats it.
 func TestVoteStoreConcurrentGrowth(t *testing.T) {
 	const workers = 8
 	ns := []int{8, 12, 16, 20}
@@ -188,7 +215,6 @@ func TestVoteStoreConcurrentGrowth(t *testing.T) {
 		}
 		return c
 	}
-	built, _, _ := VoteTableStats()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -224,10 +250,34 @@ func TestVoteStoreConcurrentGrowth(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Three keys, M = 3, 5 and 7 (the shared key is M = 5), each built at
-	// most once per N.
-	if after, _, _ := VoteTableStats(); after-built > uint64(3*len(ns)) {
-		t.Errorf("%d tables built for 3 keys at %d sizes", after-built, len(ns))
+	for w := 0; w < 3; w++ { // keys M = 3, 5 and 7; the shared key is M = 5
+		if got := storedVoteTable(voteKeyOf(keyCfg(w, false))).extent(); got != ns[len(ns)-1] {
+			t.Errorf("M=%d: store holds a table of extent %d, want %d", keyCfg(w, false).M, got, ns[len(ns)-1])
+		}
+	}
+}
+
+// TestAnalyzeBelowOneVotingRow analyses a configuration whose MaxStates
+// is too small for even the first voting-table row: the model still holds
+// a table, and the exploration ends in an error rather than a panic.
+func TestAnalyzeBelowOneVotingRow(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.N = 10
+	for _, maxStates := range []int{1, 2} {
+		cfg.MaxStates = maxStates
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("MaxStates %d: %v", maxStates, err)
+		}
+		m, err := BuildModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.vote == nil {
+			t.Fatalf("MaxStates %d: model holds no voting table", maxStates)
+		}
+		if _, err := Analyze(cfg); err == nil {
+			t.Errorf("MaxStates %d: Analyze succeeded", maxStates)
+		}
 	}
 }
 

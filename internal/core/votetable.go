@@ -14,16 +14,15 @@ import (
 // So the process keeps one bounded store of frozen voting tables, keyed by
 // those four inputs, and every model of a key reads the same table.
 
-// MaxVoteTables and MaxVoteTableBytes bound the process-wide voting-table
-// store. A table of N <= 60 holds under 20 KiB, so a workload's few keys
-// stay resident, while a stream of fresh P1 or P2 values (one adaptive
-// frontier per base, forward sensitivities) only cycles the least recently
-// used tables. A table larger than the byte bound is used by the models
-// that asked for it but not kept.
-const (
-	MaxVoteTables     = 32
-	MaxVoteTableBytes = 1 << 20
-)
+// MaxVoteTableBytes bounds the process-wide voting-table store. A table
+// of N <= 60 holds under 20 KiB, so a workload's few keys stay resident,
+// while a stream of fresh P1 or P2 values (one adaptive frontier per base,
+// forward sensitivities) only cycles the least recently used tables; each
+// of those is garbage once evicted, so the bound is also what such a
+// stream adds to the live heap. A table larger than the bound (N of 250
+// or more) is handed to the model that asked for it but not kept, and
+// leaves the stored tables alone.
+const MaxVoteTableBytes = 256 << 10
 
 // votePair is one group composition's voting error probabilities.
 type votePair struct{ pfn, pfp float64 }
@@ -135,10 +134,11 @@ func (t *voteTable) grown(key voteKey, extent int) *voteTable {
 // voteExtent is the largest nGood a model of cfg needs in its voting
 // table: N, unless a table that large would hold more slots than the
 // exploration may hold states. Such a model reads the rows it has and
-// computes the compositions beyond them without storing them.
+// computes the compositions beyond them without storing them. The extent
+// is never below 0, so every model holds a table.
 func voteExtent(cfg Config) int {
 	limit := cfg.EffectiveMaxStates()
-	n, slots := -1, 0
+	n, slots := 0, voteRowLen(0)
 	for n < cfg.N && slots+voteRowLen(n+1) <= limit {
 		n++
 		slots += voteRowLen(n)
@@ -147,7 +147,7 @@ func voteExtent(cfg Config) int {
 }
 
 // voteStore is the process's store of frozen voting tables, least recently
-// used first out, bounded by MaxVoteTables and MaxVoteTableBytes.
+// used first out, bounded by MaxVoteTableBytes.
 type voteStore struct {
 	mu      sync.Mutex
 	entries map[voteKey]*list.Element // of *voteEntry
@@ -158,79 +158,64 @@ type voteStore struct {
 
 type voteEntry struct {
 	key   voteKey
-	table *voteTable // guarded by voteStore.mu; nil until first built
-	// grow is held while the key's table is grown, so concurrent models
-	// of one key wait for one fill instead of each computing it.
-	grow     sync.Mutex
-	resident bool // guarded by voteStore.mu: still in the store
+	table *voteTable
 }
 
 var voteTables = voteStore{entries: make(map[voteKey]*list.Element)}
 
-// table returns a frozen table of key covering nGood <= extent, growing
-// the stored one when it is smaller.
+// table returns a frozen table of key covering nGood <= extent. When the
+// stored table is smaller (or absent), it grows one outside the lock and
+// stores it unless another model stored one at least as large meanwhile.
 func (s *voteStore) table(key voteKey, extent int) *voteTable {
 	s.mu.Lock()
-	e := s.entry(key)
-	t := e.table
+	var t *voteTable
+	if el, ok := s.entries[key]; ok {
+		s.lru.MoveToFront(el)
+		t = el.Value.(*voteEntry).table
+	}
 	s.mu.Unlock()
 	if t.extent() >= extent {
 		return t
 	}
-	e.grow.Lock()
-	defer e.grow.Unlock()
-	s.mu.Lock()
-	t = e.table
-	s.mu.Unlock()
-	if t.extent() >= extent {
-		return t // grown by the goroutine we waited on
-	}
 	grown := t.grown(key, extent)
+	size := grown.sizeBytes()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.built++
-	if e.resident {
-		if t != nil {
-			s.bytes -= t.sizeBytes()
-		}
-		e.table = grown
-		s.bytes += grown.sizeBytes()
-		s.evict()
+	if size > MaxVoteTableBytes {
+		return grown
 	}
+	el, ok := s.entries[key]
+	if !ok {
+		s.entries[key] = s.lru.PushFront(&voteEntry{key: key, table: grown})
+	} else if e := el.Value.(*voteEntry); e.table.extent() < grown.extent() {
+		s.lru.MoveToFront(el)
+		s.bytes -= e.table.sizeBytes()
+		e.table = grown
+	} else {
+		return grown
+	}
+	s.bytes += size
+	s.evict()
 	return grown
 }
 
-// entry finds or inserts key's entry and marks it most recently used.
-// s.mu must be held.
-func (s *voteStore) entry(key voteKey) *voteEntry {
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
-		return el.Value.(*voteEntry)
-	}
-	e := &voteEntry{key: key, resident: true}
-	s.entries[key] = s.lru.PushFront(e)
-	s.evict()
-	return e
-}
-
-// evict drops least recently used entries until the store is within its
-// bounds. s.mu must be held.
+// evict drops least recently used tables until the store is within its
+// bound. The front table, at most MaxVoteTableBytes, always stays. s.mu
+// must be held.
 func (s *voteStore) evict() {
-	for s.lru.Len() > MaxVoteTables || s.bytes > MaxVoteTableBytes {
+	for s.bytes > MaxVoteTableBytes {
 		e := s.lru.Remove(s.lru.Back()).(*voteEntry)
 		delete(s.entries, e.key)
-		e.resident = false
-		if e.table != nil {
-			s.bytes -= e.table.sizeBytes()
-		}
+		s.bytes -= e.table.sizeBytes()
 	}
 }
 
 // VoteTableStats reports the voting-table store: the tables built (first
-// fills and growths) since the process started, and the bytes and tables
-// it holds now.
-func VoteTableStats() (built uint64, bytes int64, tables int) {
+// fills and growths, stored or not) since the process started, and the
+// bytes it holds now.
+func VoteTableStats() (built uint64, bytes int64) {
 	voteTables.mu.Lock()
 	defer voteTables.mu.Unlock()
-	return voteTables.built, voteTables.bytes, voteTables.lru.Len()
+	return voteTables.built, voteTables.bytes
 }

@@ -580,13 +580,13 @@ func TestVoteTablesBuiltOncePerKeyAndSize(t *testing.T) {
 		}
 	}
 	e := New(Options{Workers: 2})
-	built, _, _ := core.VoteTableStats()
+	built, _ := core.VoteTableStats()
 	for i := 0; i < len(cfgs); i += 4 {
 		if _, err := e.EvalBatch(cfgs[i : i+4]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after, bytes, _ := core.VoteTableStats()
+	after, bytes := core.VoteTableStats()
 	if got, bound := after-built, uint64(len(ms)*len(ns)); got > bound || got < uint64(len(ms)) {
 		t.Errorf("%d voting tables built for %d keys over %d N growths, want %d to %d",
 			got, len(ms), len(ns), len(ms), bound)

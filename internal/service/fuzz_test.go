@@ -12,9 +12,11 @@ import (
 	"repro/internal/engine"
 )
 
-// modelBackend builds each configuration's model, at an N of at most 20
-// so that a hostile N costs nothing, and answers with an empty Result. M,
-// P1 and P2 stay as sent, so they key the process-wide voting-table store.
+// modelBackend builds and explores each configuration's model, at an N of
+// at most 20 so that a hostile N costs little, and answers with an empty
+// Result. M, P1, P2 and MaxStates stay as sent, so they key the
+// process-wide voting-table store and size the model's table, and the
+// exploration runs the rate function over that table.
 type modelBackend struct {
 	invalid atomic.Int64 // configurations that reached the backend unvalidated
 }
@@ -24,7 +26,11 @@ func (b *modelBackend) EvalContext(_ context.Context, cfg core.Config) (*core.Re
 		b.invalid.Add(1)
 	}
 	cfg.N = 2 + cfg.N%19
-	if _, err := core.BuildModel(cfg); err != nil {
+	m, err := core.BuildModel(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := m.Explore(); err != nil {
 		return nil, err
 	}
 	return &core.Result{Config: cfg}, nil
@@ -40,9 +46,11 @@ func (b *modelBackend) WorkerBound() int    { return 2 }
 // FuzzRequestBody posts arbitrary bodies to /v1/eval and /v1/batch. Body
 // decoding, the batch limits and core.Config.Validate must answer every
 // malformed or out-of-range body with a 4xx, never panic and never pass an
-// invalid configuration on. Valid configurations build their models, so
-// hostile M, P1 and P2 (M = 1<<62, subnormal or boundary probabilities)
-// key the voting-table store, which must stay within its bounds. The seed
+// invalid configuration on. Valid configurations build and explore their
+// models, so hostile M, P1, P2 and MaxStates (M = 1<<62, subnormal or
+// boundary probabilities, MaxStates = 1) reach the voting-table store and
+// the rate function, which must not panic, and the store must stay within
+// its byte bound. The seed
 // corpus (testdata/fuzz/FuzzRequestBody) holds valid, hostile and
 // malformed bodies of both routes.
 //
@@ -61,9 +69,8 @@ func FuzzRequestBody(f *testing.F) {
 		if n := backend.invalid.Load(); n > 0 {
 			t.Fatalf("%d invalid configurations reached the backend", n)
 		}
-		if _, bytes, tables := core.VoteTableStats(); tables > core.MaxVoteTables || bytes > core.MaxVoteTableBytes {
-			t.Fatalf("voting-table store holds %d tables, %d bytes; bounds %d, %d",
-				tables, bytes, core.MaxVoteTables, core.MaxVoteTableBytes)
+		if _, bytes := core.VoteTableStats(); bytes > core.MaxVoteTableBytes {
+			t.Fatalf("voting-table store holds %d bytes, bound %d", bytes, core.MaxVoteTableBytes)
 		}
 	})
 }
