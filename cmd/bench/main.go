@@ -297,9 +297,9 @@ func kernelWorkloads(n int) []Result {
 }
 
 // reratePatchWorkload times one patched point on an incremental session
-// anchored at cfg: a rebuilt model's rates replayed over the shared graph
-// (spn.Graph.Rerate), the generator patched and re-solved, and the Result
-// analysed. Each op moves TIDS to the next value of the paper's grid.
+// anchored at cfg: the shared graph's edge rates gathered from the
+// family's rate keys under a rebuilt model, the generator patched and
+// re-solved, and the Result analysed. Each op moves TIDS to the next value of the paper's grid.
 func reratePatchWorkload(cfg core.Config) Result {
 	donor, err := core.Prepare(cfg)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
+	"repro/internal/ctmc"
 	"repro/internal/linalg"
 	"repro/internal/spn"
 )
@@ -91,7 +92,15 @@ func (p *Prepared) analyze() (*Result, error) {
 	}
 
 	// Sojourn-weighted cost rewards, then time-average over the mission.
-	acc := model.sojournCost(graph, sojourn)
+	// A patched point reads its costs and causes from the family's rate
+	// keys; a full prepare from the markings.
+	var acc cost.Breakdown
+	var causes []uint8
+	if f := p.patched; f != nil {
+		acc, causes = f.sojournCost(sojourn), f.keys.causes
+	} else {
+		acc, causes = model.sojournCost(graph, sojourn), model.absorbingCauses(graph, chain)
+	}
 	res.CostBreakdown = cost.Breakdown{
 		GC:     acc.GC / res.MTTSF,
 		Status: acc.Status / res.MTTSF,
@@ -110,20 +119,22 @@ func (p *Prepared) analyze() (*Result, error) {
 	// Failure-mode split over absorbing states, derived from the same
 	// solution (no second solve). Summed in state order, so repeated
 	// evaluations of one config agree bit for bit.
-	for state, p := range sol.AbsorptionProbabilityVector() {
-		if p == 0 {
-			continue
-		}
-		switch model.Classify(graph.States[state]) {
-		case CauseC1:
-			res.ProbC1 += p
-		case CauseC2:
-			res.ProbC2 += p
-		default:
-			res.ProbDepleted += p
+	var split [3]float64
+	sol.AbsorptionSplit(causes, split[:])
+	res.ProbC1, res.ProbC2, res.ProbDepleted = split[CauseC1], split[CauseC2], split[CauseNone]
+	return res, nil
+}
+
+// absorbingCauses returns the failure cause of every absorbing state of
+// the chain, in state order.
+func (m *Model) absorbingCauses(graph *spn.Graph, chain *ctmc.Chain) []uint8 {
+	causes := make([]uint8, 0, chain.NumAbsorbing())
+	for i, mk := range graph.States {
+		if chain.IsAbsorbing(i) {
+			causes = append(causes, uint8(m.Classify(mk)))
 		}
 	}
-	return res, nil
+	return causes
 }
 
 // sojournCost accumulates Σ_i y_i · cost(i) over the states with nonzero
@@ -136,46 +147,37 @@ func (m *Model) sojournCost(graph *spn.Graph, sojourn linalg.Vector) cost.Breakd
 	params := cfg.costParams()
 	clusterHead := cfg.Protocol == ProtocolClusterHead
 	var acc cost.Breakdown
+	var k stateKeys
 	for i, y := range sojourn {
 		if y == 0 {
 			continue
 		}
-		mk := graph.States[i]
-		if !m.alive(mk) {
+		m.keysOf(graph.States[i], &k)
+		if !k.live || k.active() == 0 {
 			continue
 		}
-		tm, ucm := mk[m.tm], mk[m.ucm]
-		if tm+ucm == 0 {
-			continue
-		}
-		groups := mk[m.ng]
-		if groups < 1 {
-			groups = 1
-		}
-		nGood, nBad, size := m.perGroup(mk)
-		dRate := m.detectionRate(tm, ucm)
-		// Evictions per second feed extra rekeys: the T_IDS and T_FA
-		// flows (plus T_RK drainage in the extended model, which is the
-		// same flow in steady state).
-		pfn, pfp := m.votingProbs(nGood, nBad)
-		evictRate := float64(ucm)*dRate*(1-pfn) + float64(tm)*dRate*pfp
-		b := params.Evaluate(cost.State{
-			GroupSize:         size,
-			Groups:            groups,
-			DetectionRate:     dRate,
-			EvictionRekeyRate: evictRate / float64(groups),
-			PartitionRate:     cfg.PartitionRate,
-			MergeRate:         cfg.MergeRate,
-			ClusterHead:       clusterHead,
-		})
-		acc.GC += y * b.GC
-		acc.Status += y * b.Status
-		acc.Rekey += y * b.Rekey
-		acc.IDS += y * b.IDS
-		acc.Beacon += y * b.Beacon
-		acc.MP += y * b.MP
+		groups := max(k.ng, 1)
+		slot := params.Slot(k.size, groups, clusterHead, cfg.PartitionRate, cfg.MergeRate)
+		pfn, pfp := m.votingProbs(k.nGood, k.nBad)
+		addCost(&acc, y, &slot, k.tm, k.ucm, groups, m.detectionRate(k.active()), votePair{pfn, pfp})
 	}
 	return acc
+}
+
+// addCost adds y times the cost reward of a live state with the given
+// cost slot, token counts, group count, D(md) and (Pfn, Pfp). Evictions
+// per second feed extra rekeys: the T_IDS and T_FA flows (plus T_RK
+// drainage in the extended model, which is the same flow in steady
+// state).
+func addCost(acc *cost.Breakdown, y float64, slot *cost.Slot, tm, ucm, groups int, d float64, v votePair) {
+	evictRate := idsRate(ucm, d, v.pfn) + faRate(tm, d, v.pfp)
+	b := slot.Finish(d, evictRate/float64(groups))
+	acc.GC += y * b.GC
+	acc.Status += y * b.Status
+	acc.Rekey += y * b.Rekey
+	acc.IDS += y * b.IDS
+	acc.Beacon += y * b.Beacon
+	acc.MP += y * b.MP
 }
 
 // MTTSFOnly computes just the MTTSF (skipping cost rewards), for tight

@@ -175,6 +175,12 @@ func (c Config) Validate() error {
 	switch {
 	case c.N < 2:
 		return fmt.Errorf("core: N = %d, need >= 2", c.N)
+	case c.MaxStates < 0:
+		return fmt.Errorf("core: MaxStates = %d, need >= 0", c.MaxStates)
+	case c.N > c.EffectiveMaxStates()-1:
+		// The model's tables are sized by N before exploration applies its
+		// bound, and a group of N members has at least N+1 states.
+		return fmt.Errorf("core: N = %d, need N+1 <= MaxStates = %d", c.N, c.EffectiveMaxStates())
 	case c.LambdaC <= 0:
 		return fmt.Errorf("core: LambdaC = %v, need > 0", c.LambdaC)
 	case c.TIDS <= 0:

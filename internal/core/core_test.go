@@ -41,6 +41,9 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		"Partition": func(c *Config) { c.PartitionRate = -1 },
 		"Attacker":  func(c *Config) { c.Attacker = 10 },
 		"Detection": func(c *Config) { c.Detection = -1 },
+		"HugeN":     func(c *Config) { c.N = 1 << 40 },
+		"NOverMax":  func(c *Config) { c.MaxStates = c.N },
+		"MaxStates": func(c *Config) { c.MaxStates = -1 },
 	}
 	for name, mut := range mutations {
 		cfg := DefaultConfig()

@@ -27,11 +27,12 @@ import (
 // factors (internal/shapes clamps its growth curves at >= 1) or pure cost
 // rewards, so it can never flip an enabling decision.
 //
-// The classifier is a fast gate, not the safety mechanism: the re-rate
-// path re-verifies the full enabled-transition set state by state
-// (spn.Graph.Rerate) and falls back to a structural re-prepare on any
-// mismatch, so a conservative misclassification costs performance, never
-// correctness.
+// The classifier is a fast gate, not the safety mechanism: the keyed
+// re-rate checks every rate key's sign (ratekeys.go) — an edge's rate
+// stays positive, an idle arc-enabled pair's stays 0 — which decides
+// exactly what replaying the enabling scan state by state would, and
+// falls back to a structural re-prepare on any change, so a conservative
+// misclassification costs performance, never correctness.
 
 // DeltaKind classifies the difference between two configurations.
 type DeltaKind int
@@ -71,8 +72,19 @@ func (k DeltaKind) String() string {
 // ClassifyDelta checks separately). The engine's incremental batch path
 // groups work by this key.
 func StructuralKey(cfg Config) string {
-	return fmt.Sprintf("p%d|n%d|g%d|e%t|s%d",
-		cfg.Protocol, cfg.N, cfg.MaxGroups, cfg.ExplicitEviction, cfg.EffectiveMaxStates())
+	s := structureOf(cfg)
+	return fmt.Sprintf("p%d|n%d|g%d|e%t|s%d", s.protocol, s.n, s.maxGroups, s.explicit, s.maxStates)
+}
+
+// structure is the Config fields StructuralKey digests.
+type structure struct {
+	protocol                Protocol
+	n, maxGroups, maxStates int
+	explicit                bool
+}
+
+func structureOf(cfg Config) structure {
+	return structure{cfg.Protocol, cfg.N, cfg.MaxGroups, cfg.EffectiveMaxStates(), cfg.ExplicitEviction}
 }
 
 // openUnit reports whether v lies strictly inside (0,1).
@@ -83,7 +95,7 @@ func ClassifyDelta(a, b Config) DeltaKind {
 	if normalizeForDelta(a) == normalizeForDelta(b) && a.EffectiveCost() == b.EffectiveCost() {
 		return DeltaNone
 	}
-	if StructuralKey(a) != StructuralKey(b) {
+	if structureOf(a) != structureOf(b) {
 		return DeltaStructural
 	}
 	// Zero-crossing rules: a rate-only delta must keep every conditionally

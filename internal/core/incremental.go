@@ -11,7 +11,7 @@ import (
 
 // structuralRepreps counts incremental-path points that had to fall back
 // to a full re-prepare: the delta classifier called the diff structural,
-// or the re-rate replay caught a changed enabled-transition set.
+// or the rate keys' sign check caught a changed enabled-transition set.
 var structuralRepreps atomic.Uint64
 
 // StructuralRepreps returns the cumulative number of incremental-path
@@ -26,26 +26,34 @@ var ErrStructuralDelta = errors.New("core: structural config delta; full re-prep
 
 // PreparedDelta is the incremental re-solve seam: anchored on one fully
 // prepared configuration, it evaluates rate-only neighbouring
-// configurations by re-rating the shared reachability graph, patching the
-// cached generator pattern in place, and re-solving — exactly, through
-// the session's reused block-triangular factorization, or through the
-// working chain's solve ladder when the pattern is too cyclic for it or
-// the config pins an iterative backend — skipping exploration, CSR
-// assembly, transpose, and symbolic factorization entirely. Not safe for
-// concurrent use, and each Prepared it returns aliases the working
-// arrays: consume it (Analyze, ForwardSensitivities) before the next
-// Prepared call patches under it.
+// configurations by re-rating the shared reachability graph from the
+// family's rate keys (ratekeys.go), patching the cached generator pattern
+// in place, and re-solving — exactly, through the session's reused
+// block-triangular factorization, or through the working chain's solve
+// ladder when the pattern is too cyclic for it or the config pins an
+// iterative backend — skipping exploration, CSR assembly, transpose, and
+// symbolic factorization entirely. Not safe for concurrent use, and each
+// Prepared it returns aliases the working arrays: consume it (Analyze,
+// ForwardSensitivities) before the next Prepared call patches under it.
 type PreparedDelta struct {
-	anchor Config
-	graph  *spn.Graph // CloneForRerate clone sharing the donor's structure
-	pc     *ctmc.PatchedChain
-	model  *Model // last patched point's model
+	anchor  Config
+	graph   *spn.Graph // CloneForRerate clone sharing the donor's structure
+	pc      *ctmc.PatchedChain
+	factors rateFactors // over the donor's rate keys
+	model   *Model      // last patched point's model
 }
 
 // NewPreparedDelta anchors an incremental session on a fully prepared
 // donor. The donor is never mutated and stays valid (and cacheable); the
-// session owns private copies of the mutable value arrays.
+// session owns private copies of the mutable value arrays, and shares
+// with every other session of the donor what depends only on the family:
+// the rate keys, the scatter maps and the direct solve's symbolic
+// analysis, built by the first session (SessionBytes counts them).
 func NewPreparedDelta(donor *Prepared) (*PreparedDelta, error) {
+	keys, err := donor.rateKeys()
+	if err != nil {
+		return nil, err
+	}
 	g, err := donor.Graph.CloneForRerate(donor.Model.Net)
 	if err != nil {
 		return nil, err
@@ -54,17 +62,17 @@ func NewPreparedDelta(donor *Prepared) (*PreparedDelta, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedDelta{anchor: donor.Model.Config, graph: g, pc: pc}, nil
+	return &PreparedDelta{anchor: donor.Model.Config, graph: g, pc: pc, factors: rateFactors{keys: keys}}, nil
 }
 
 // SizeBytes estimates what the session holds privately: the re-rated
-// graph's edge arena, the patched chain's value arrays, Q_TT, factors and
-// scatter maps, and the last patched model's detection table. The
-// structure it shares with its donor — markings, state table, generator
-// pattern — is the donor's to count (Prepared.SizeBytes), and the voting
-// table is the store's.
+// graph's edge arena, the patched chain's value arrays and numeric
+// factors, the factor tables, and the last patched model's detection
+// table. What it shares with its donor — markings, state table, patterns,
+// rate keys, scatter maps, symbolic analysis — is the donor's to count
+// (Prepared.SizeBytes), and the voting table is the store's.
 func (pd *PreparedDelta) SizeBytes() int64 {
-	size := pd.graph.EdgeBytes() + pd.pc.SizeBytes()
+	size := pd.graph.EdgeBytes() + pd.pc.SizeBytes() + pd.factors.sizeBytes()
 	if pd.model != nil {
 		size += pd.model.tableBytes()
 	}
@@ -73,9 +81,9 @@ func (pd *PreparedDelta) SizeBytes() int64 {
 
 // Prepared evaluates cfg through the patch+re-solve path, returning a
 // Prepared whose solution is already computed. A structural delta — by
-// classification or by the re-rate replay's ground-truth check — returns
-// an error wrapping ErrStructuralDelta and counts a structural re-prepare;
-// the session stays anchored and usable for later rate-only points. Any
+// classification or by the rate keys' sign check — returns an error
+// wrapping ErrStructuralDelta and counts a structural re-prepare; the
+// session stays anchored and usable for later rate-only points. Any
 // other error is a hard solve failure: fall back to the full path.
 func (pd *PreparedDelta) Prepared(cfg Config) (*Prepared, error) {
 	if ClassifyDelta(pd.anchor, cfg) == DeltaStructural {
@@ -87,10 +95,7 @@ func (pd *PreparedDelta) Prepared(cfg Config) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Swap the rebuilt net's rate function under the shared graph and
-	// replay the enabling scan — the ground-truth structural check.
-	pd.graph.Net = model.Net
-	if err := pd.graph.Rerate(); err != nil {
+	if err := pd.rerate(model); err != nil {
 		structuralRepreps.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrStructuralDelta, err)
 	}
@@ -105,7 +110,16 @@ func (pd *PreparedDelta) Prepared(cfg Config) (*Prepared, error) {
 	}
 	pd.anchor = cfg
 
-	p := &Prepared{Model: model, Graph: pd.graph, Chain: pd.pc.Chain()}
+	p := &Prepared{Model: model, Graph: pd.graph, Chain: pd.pc.Chain(), patched: &pd.factors}
 	p.solveOnce.Do(func() { p.sol = sol })
 	return p, nil
+}
+
+// rerate puts model's net under the session's graph and writes its edge
+// rates from the family's rate keys: the keyed re-rate and its per-key
+// structural check (rateFactors.rerate).
+func (pd *PreparedDelta) rerate(model *Model) error {
+	pd.graph.Net = model.Net
+	pd.factors.fill(model)
+	return pd.factors.rerate(pd.graph)
 }

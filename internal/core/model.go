@@ -35,8 +35,8 @@ type Model struct {
 	detection shapes.Detection
 
 	// Dense rate-factor tables, read for every live state by the rate
-	// function and by every later pass over the graph (Rerate, the cost
-	// pass). vote holds (Pfn, Pfp) by per-group composition: a frozen
+	// function, the full path's cost pass and the rate keys' factor fill.
+	// vote holds (Pfn, Pfp) by per-group composition: a frozen
 	// table from the process-wide store (votetable.go), shared by every
 	// model of equal (Protocol, M, P1, P2) and read without a lock; a
 	// composition beyond it is computed, not stored. detect holds D(md)
@@ -143,6 +143,106 @@ func BuildModel(cfg Config) (*Model, error) {
 	return m, nil
 }
 
+// stateKeys is what a state's rates and cost reward read of its marking:
+// the alive test, the token counts, one group's composition (perGroup)
+// and the rekeying group's size. The rate-key table (ratekeys.go) is built
+// from it, so a patched point reads the same keys the rate function does.
+type stateKeys struct {
+	live              bool // no failure condition holds
+	tm, ucm, dcm, ng  int
+	nGood, nBad, size int // one group's composition, when tm+ucm > 0
+	rekeySize         int // T_RK's rekeying group size, when dcm > 0
+	split             bool
+}
+
+func (k *stateKeys) active() int { return k.tm + k.ucm }
+
+// keysOf reads mk's keys into k (in place: the rate function calls it
+// once per explored state). A failed state's keys are only live = false.
+func (m *Model) keysOf(mk spn.Marking, k *stateKeys) {
+	if !m.alive(mk) {
+		*k = stateKeys{}
+		return
+	}
+	*k = stateKeys{live: true, tm: mk[m.tm], ucm: mk[m.ucm], ng: mk[m.ng]}
+	if k.active() > 0 {
+		k.nGood, k.nBad, k.size = m.perGroup(mk)
+	}
+	if m.dcm >= 0 && mk[m.dcm] > 0 {
+		k.dcm = mk[m.dcm]
+		k.rekeySize = m.rekeySize(mk)
+	}
+	// A partition needs at least two live nodes per resulting group.
+	k.split = k.ng < m.Config.MaxGroups && k.active() >= 2*(k.ng+1)
+}
+
+// role names a transition of the Figure 1 net by what its rate reads.
+type role uint8
+
+const (
+	roleCP role = iota
+	roleDRQ
+	roleIDS
+	roleFA
+	roleRK
+	rolePAR
+	roleMER
+)
+
+// roles maps the model's transition indices to their roles.
+func (m *Model) roles() []role {
+	out := make([]role, m.Net.NumTransitions())
+	out[m.tCP], out[m.tDRQ], out[m.tIDS], out[m.tFA] = roleCP, roleDRQ, roleIDS, roleFA
+	out[m.tPAR], out[m.tMER] = rolePAR, roleMER
+	if m.tRK >= 0 {
+		out[m.tRK] = roleRK
+	}
+	return out
+}
+
+// guard reports whether a transition of role r can have a nonzero rate in
+// a state of keys k. It reads the marking and the structural Config
+// fields (MaxGroups, through split) only, so a false guard means a rate of
+// 0 under every configuration of the family.
+func (k *stateKeys) guard(r role) bool {
+	if !k.live {
+		return false
+	}
+	switch r {
+	case roleCP:
+		return k.tm > 0
+	case roleIDS, roleFA:
+		return k.active() > 0
+	case roleRK:
+		return k.dcm > 0
+	case rolePAR:
+		return k.split
+	}
+	return true
+}
+
+// The per-key rate functions: each transition's rate from its factors and
+// its integer multiplier, in the one operand order the rate function and
+// the keyed re-rate share. T_CP's rate is its attacker factor and T_PAR's
+// is PartitionRate.
+
+// drqRate: each compromised member requests data at rate LambdaQ and
+// succeeds unless host IDS flags it, hence Section 4's p1*λq*mark(UCm).
+func drqRate(p1LambdaQ float64, ucm int) float64 { return p1LambdaQ * float64(ucm) }
+
+// idsRate is T_IDS at mark(UCm)*D(md)*(1-Pfn).
+func idsRate(ucm int, d, pfn float64) float64 { return float64(ucm) * d * (1 - pfn) }
+
+// faRate is T_FA at mark(Tm)*D(md)*Pfp.
+func faRate(tm int, d, pfp float64) float64 { return float64(tm) * d * pfp }
+
+// rkRate: each detected node leaves after an exponential Tcm delay.
+func rkRate(dcm int, tcm float64) float64 { return float64(dcm) / tcm }
+
+// merRate: the merge rate is proportional to the number of extra groups,
+// since more fragments find each other faster.
+func merRate(mergeRate float64, ng int) float64 { return mergeRate * float64(ng-1) }
+
 // rates is the net's rate function: every transition's rate in mk, with
 // the alive test, the group split, D(md) and (Pfn, Pfp) each evaluated
 // once for the state. A failed state (C1 or C2) disables everything,
@@ -151,40 +251,30 @@ func BuildModel(cfg Config) (*Model, error) {
 // be left at 0: the enabling scan disables it either way.
 func (m *Model) rates(mk spn.Marking, out []float64) {
 	clear(out)
-	if !m.alive(mk) {
+	var k stateKeys
+	m.keysOf(mk, &k)
+	if !k.live {
 		return
 	}
 	cfg := &m.Config
-	tm, ucm := mk[m.tm], mk[m.ucm]
-	active := tm + ucm
 	// T_CP fires at the attacker rate A(mc), mc = (Tm + UCm)/Tm.
-	if tm > 0 {
-		out[m.tCP] = m.attacker.Rate(shapes.Pressure(tm, ucm))
+	if k.guard(roleCP) {
+		out[m.tCP] = m.attackRate(k.tm, k.ucm)
 	}
-	// T_DRQ: each compromised member requests data at rate LambdaQ and
-	// succeeds unless host IDS flags it, hence Section 4's
-	// p1*λq*mark(UCm).
-	out[m.tDRQ] = cfg.P1 * cfg.LambdaQ * float64(ucm)
-	if active > 0 {
-		// T_IDS at mark(UCm)*D(md)*(1-Pfn), T_FA at mark(Tm)*D(md)*Pfp.
-		nGood, nBad, _ := m.perGroup(mk)
-		d := m.detectionRate(tm, ucm)
-		pfn, pfp := m.votingProbs(nGood, nBad)
-		out[m.tIDS] = float64(ucm) * d * (1 - pfn)
-		out[m.tFA] = float64(tm) * d * pfp
+	out[m.tDRQ] = drqRate(cfg.P1*cfg.LambdaQ, k.ucm)
+	if k.guard(roleIDS) {
+		d := m.detectionRate(k.active())
+		pfn, pfp := m.votingProbs(k.nGood, k.nBad)
+		out[m.tIDS] = idsRate(k.ucm, d, pfn)
+		out[m.tFA] = faRate(k.tm, d, pfp)
 	}
-	// T_RK: each detected node leaves after an exponential Tcm delay.
-	if m.tRK >= 0 && mk[m.dcm] > 0 {
-		out[m.tRK] = float64(mk[m.dcm]) / m.rekeyTime(mk)
+	if m.tRK >= 0 && k.guard(roleRK) {
+		out[m.tRK] = rkRate(k.dcm, m.rekeyTime(k.rekeySize))
 	}
-	// A partition needs at least two live nodes per resulting group; the
-	// merge rate is proportional to the number of extra groups, since
-	// more fragments find each other faster.
-	ng := mk[m.ng]
-	if ng < cfg.MaxGroups && active >= 2*(ng+1) {
+	if k.guard(rolePAR) {
 		out[m.tPAR] = cfg.PartitionRate
 	}
-	out[m.tMER] = cfg.MergeRate * float64(ng-1)
+	out[m.tMER] = merRate(cfg.MergeRate, k.ng)
 }
 
 // tableBytes reports the bytes of the model's own rate-factor table. The
@@ -287,23 +377,32 @@ func (m *Model) votingProbs(nGood, nBad int) (pfn, pfp float64) {
 	return m.voteKey.probs(nGood, nBad, m.voteKey.params().Probabilities)
 }
 
-// detectionRate evaluates D(md) with md = Ninit/(Tm + UCm), memoized on the
-// live member count Tm + UCm.
-func (m *Model) detectionRate(tm, ucm int) float64 {
-	active := tm + ucm
+// attackRate evaluates A(mc) with mc = (Tm + UCm)/Tm.
+func (m *Model) attackRate(tm, ucm int) float64 {
+	return m.attacker.Rate(shapes.Pressure(tm, ucm))
+}
+
+// detectionAt evaluates D(md) with md = Ninit/(Tm + UCm) for a live count
+// active = Tm + UCm.
+func (m *Model) detectionAt(active int) float64 {
+	return m.detection.Rate(shapes.EvictionPressure(m.Config.N, active, 0))
+}
+
+// detectionRate is detectionAt memoized on the live count.
+func (m *Model) detectionRate(active int) float64 {
 	if r := m.detect[active]; !math.IsNaN(r) {
 		return r
 	}
-	r := m.detection.Rate(shapes.EvictionPressure(m.Config.N, tm, ucm))
+	r := m.detectionAt(active)
 	m.detect[active] = r
 	return r
 }
 
-// rekeyTime returns Tcm for the per-group membership of a marking. The
+// rekeySize returns the per-group membership of a marking that rekeys. The
 // rekeying group includes detected-but-not-yet-evicted nodes (they hold
 // the old key until the rekey completes) and is floored at 2 so the rate
 // of T_RK stays finite in every reachable state.
-func (m *Model) rekeyTime(mk spn.Marking) float64 {
+func (m *Model) rekeySize(mk spn.Marking) int {
 	members := mk[m.tm] + mk[m.ucm]
 	if m.dcm >= 0 {
 		members += mk[m.dcm]
@@ -312,10 +411,11 @@ func (m *Model) rekeyTime(mk spn.Marking) float64 {
 	if g < 1 {
 		g = 1
 	}
-	size := roundDiv(members, g)
-	if size < 2 {
-		size = 2
-	}
+	return max(roundDiv(members, g), 2)
+}
+
+// rekeyTime returns Tcm for a rekeying group of the given size.
+func (m *Model) rekeyTime(size int) float64 {
 	return gdh.RekeyTime(size, m.Config.GDHElementBits, m.Config.MeanHops, m.Config.BandwidthBps)
 }
 

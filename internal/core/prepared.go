@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ctmc"
 	"repro/internal/des"
@@ -27,6 +28,16 @@ type Prepared struct {
 	resultOnce sync.Once
 	result     *Result
 	resultErr  error
+
+	// keys is the family's rate-key table (ratekeys.go) that this
+	// model's incremental sessions share, built by the first of them.
+	keysOnce sync.Once
+	keys     atomic.Pointer[rateKeys]
+	keysErr  error
+
+	// patched is set on a session's patched point: the session's factor
+	// tables over the family's keys, valid until its next point.
+	patched *rateFactors
 }
 
 // Prepare builds the SPN for cfg, explores its reachability graph, and
@@ -63,12 +74,35 @@ func Prepare(cfg Config) (*Prepared, error) {
 // solved: the reachability graph (spn.Graph.SizeBytes, from its arrays'
 // capacities), the CTMC with the solve state its first solve builds
 // (ctmc.Chain.SizeBytes: Q_TT^T and the block-triangular factors), the
-// sojourn vector, and the model's detection table (the voting table is the
-// process-wide store's). It holds before the solve too, so the evaluation
-// engine can charge a model to its byte-budgeted LRU when it caches it.
+// sojourn vector, the model's detection table (the voting table is the
+// process-wide store's), and SessionBytes. It holds before the solve too,
+// so the evaluation engine can charge a model to its byte-budgeted LRU
+// when it caches it.
 func (p *Prepared) SizeBytes() int64 {
 	return p.Graph.SizeBytes() + p.Chain.SizeBytes() + int64(p.Graph.NumStates())*8 +
-		p.Model.tableBytes()
+		p.Model.tableBytes() + p.SessionBytes()
+}
+
+// SessionBytes reports the bytes of what the model shares with the
+// incremental sessions cloned from it (NewPreparedDelta): the rate-key
+// table, Q_TT's pattern and the scatter maps. It is zero until the first
+// session builds them, and cheap to call.
+func (p *Prepared) SessionBytes() int64 {
+	size := p.Chain.SharedPatchBytes()
+	if rk := p.keys.Load(); rk != nil {
+		size += rk.sizeBytes()
+	}
+	return size
+}
+
+// rateKeys returns the family's rate-key table, building it on first use.
+func (p *Prepared) rateKeys() (*rateKeys, error) {
+	p.keysOnce.Do(func() {
+		rk, err := newRateKeys(p.Model, p.Graph, p.Chain)
+		p.keysErr = err
+		p.keys.Store(rk)
+	})
+	return p.keys.Load(), p.keysErr
 }
 
 // Solution returns the sojourn-time solve for the initial marking,

@@ -257,33 +257,43 @@ func TestVoteStoreConcurrentGrowth(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBelowOneVotingRow analyses a configuration whose MaxStates
-// is too small for even the first voting-table row: the model still holds
-// a table, and the exploration ends in an error rather than a panic.
+// TestAnalyzeBelowOneVotingRow analyses configurations whose MaxStates is
+// too small for even the first voting-table row: Validate rejects them
+// (N+1 states cannot fit), so BuildModel and Analyze return errors rather
+// than build a table or panic. The smallest MaxStates Validate accepts
+// still gives its model a table, and its exploration ends in an error.
 func TestAnalyzeBelowOneVotingRow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N = 10
 	for _, maxStates := range []int{1, 2} {
 		cfg.MaxStates = maxStates
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("MaxStates %d: %v", maxStates, err)
+		if err := cfg.Validate(); err == nil {
+			t.Fatalf("MaxStates %d: Validate accepted N = %d", maxStates, cfg.N)
 		}
-		m, err := BuildModel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.vote == nil {
-			t.Fatalf("MaxStates %d: model holds no voting table", maxStates)
+		if _, err := BuildModel(cfg); err == nil {
+			t.Errorf("MaxStates %d: BuildModel succeeded", maxStates)
 		}
 		if _, err := Analyze(cfg); err == nil {
 			t.Errorf("MaxStates %d: Analyze succeeded", maxStates)
 		}
 	}
+	cfg.MaxStates = cfg.N + 1
+	m, err := BuildModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.vote == nil {
+		t.Fatalf("MaxStates %d: model holds no voting table", cfg.MaxStates)
+	}
+	if _, err := Analyze(cfg); err == nil {
+		t.Errorf("MaxStates %d: Analyze succeeded", cfg.MaxStates)
+	}
 }
 
 // TestRerateAndCostPassAllocateNothing pins the steady state of a patched
-// point on an N = 40 session: re-rating the graph and the sojourn-weighted
-// cost pass allocate nothing.
+// point on an N = 40 session: the keyed re-rate (factor fill, edge rates
+// and the per-key check) and the keyed sojourn-weighted cost pass
+// allocate nothing.
 func TestRerateAndCostPassAllocateNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N = 40
@@ -309,18 +319,18 @@ func TestRerateAndCostPassAllocateNothing(t *testing.T) {
 	y := sol.SojournTimes()
 	var rerateErr error
 	if n := testing.AllocsPerRun(10, func() {
-		if err := p.Graph.Rerate(); err != nil {
+		if err := pd.rerate(p.Model); err != nil {
 			rerateErr = err
 		}
 	}); n != 0 {
-		t.Errorf("Graph.Rerate allocates %v per call, want 0", n)
+		t.Errorf("keyed re-rate allocates %v per call, want 0", n)
 	}
 	if rerateErr != nil {
 		t.Fatal(rerateErr)
 	}
 	var acc float64
 	if n := testing.AllocsPerRun(10, func() {
-		acc = p.Model.sojournCost(p.Graph, y).GC
+		acc = p.patched.sojournCost(y).GC
 	}); n != 0 {
 		t.Errorf("cost pass allocates %v per call, want 0", n)
 	}

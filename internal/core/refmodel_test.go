@@ -84,7 +84,7 @@ func refRates(m *Model) []refTransition {
 	}
 	if cfg.ExplicitEviction {
 		refs = append(refs, refTransition{name: "T_RK", guard: alive, rate: func(mk spn.Marking) float64 {
-			return float64(mk[m.dcm]) / m.rekeyTime(mk)
+			return float64(mk[m.dcm]) / m.rekeyTime(m.rekeySize(mk))
 		}})
 	}
 	refs = append(refs,

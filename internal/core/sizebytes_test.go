@@ -30,11 +30,12 @@ func retainedPer(reps int, build func() any) float64 {
 }
 
 // TestSizeBytesTracksHeap pins the byte estimates the engine budgets its
-// prepared-model LRU with to the heap they stand for: a solved Prepared
-// and an incremental session (which shares its donor's structure) must
-// each be estimated within ±25% of the live heap they retain, at N =
-// 20/30/40/60. The solver is pinned to auto, whose block-triangular
-// factors the estimates count.
+// prepared-model LRU with to the heap they stand for: a solved Prepared,
+// an incremental session (which shares its donor's structure), and the
+// state the donor's first session builds for all of them (counted by the
+// donor's SessionBytes) must each be estimated within ±25% of the live
+// heap they retain, at N = 20/30/40/60. The solver is pinned to auto,
+// whose block-triangular factors the estimates count.
 func TestSizeBytesTracksHeap(t *testing.T) {
 	const reps = 4
 	within := func(what string, n int, est int64, measured float64) {
@@ -49,7 +50,9 @@ func TestSizeBytesTracksHeap(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.N = n
 		cfg.Solver = ctmc.BackendAuto
-		var p *Prepared
+		next := cfg
+		next.TIDS *= 1.7
+		anchors := make([]*Prepared, 0, reps)
 		perPrepared := retainedPer(reps, func() any {
 			q, err := Prepare(cfg)
 			if err != nil {
@@ -58,19 +61,17 @@ func TestSizeBytesTracksHeap(t *testing.T) {
 			if _, err := q.Analyze(); err != nil {
 				t.Fatal(err)
 			}
-			p = q
+			anchors = append(anchors, q)
 			return q
 		})
+		p := anchors[0]
 		within("Prepared", n, p.SizeBytes(), perPrepared)
 
-		var pd *PreparedDelta
-		perSession := retainedPer(reps, func() any {
-			s, err := NewPreparedDelta(p)
+		session := func(donor *Prepared) *PreparedDelta {
+			s, err := NewPreparedDelta(donor)
 			if err != nil {
 				t.Fatal(err)
 			}
-			next := cfg
-			next.TIDS *= 1.7
 			q, err := s.Prepared(next)
 			if err != nil {
 				t.Fatal(err)
@@ -78,9 +79,21 @@ func TestSizeBytesTracksHeap(t *testing.T) {
 			if _, err := q.Analyze(); err != nil {
 				t.Fatal(err)
 			}
-			pd = s
 			return s
+		}
+		// Each anchor's first session builds the shared state.
+		i := 0
+		perFirst := retainedPer(reps, func() any {
+			i++
+			return session(anchors[i-1])
+		})
+		var pd *PreparedDelta
+		perSession := retainedPer(reps, func() any {
+			pd = session(p)
+			return pd
 		})
 		within("PreparedDelta", n, pd.SizeBytes(), perSession)
+		within("SessionBytes", n, p.SessionBytes(), perFirst-perSession)
+		runtime.KeepAlive(anchors)
 	}
 }

@@ -149,37 +149,56 @@ func gdhValues(n int) float64 {
 }
 
 // Evaluate computes the cost breakdown for a state. Groups and GroupSize
-// below 1 contribute zero cost.
+// below 1 contribute zero cost. It is Slot followed by Slot.Finish.
 func (p Params) Evaluate(s State) Breakdown {
-	if s.Groups < 1 || s.GroupSize < 1 {
-		return Breakdown{}
+	sl := p.Slot(s.GroupSize, s.Groups, s.ClusterHead, s.PartitionRate, s.MergeRate)
+	return sl.Finish(s.DetectionRate, s.EvictionRekeyRate)
+}
+
+// Slot is the part of a state's cost that the detection rate and the
+// eviction rate do not enter: it depends on the group size and count, the
+// architecture and the group dynamics rates alone. A caller that meets
+// one slot in many states computes it once and finishes it per state,
+// bitwise as Evaluate would.
+type Slot struct {
+	g                      float64 // groups
+	gc, status, beacon, mp float64
+	churn                  float64 // join/leave rekeys per group per second
+	rekeyBits              float64
+	perRound               float64 // IDS traffic per invocation
+	meanHops               float64
+	zero                   bool // Groups or GroupSize below 1
+}
+
+// Slot computes the slot of a state with the given group size and count.
+func (p Params) Slot(groupSize, groups int, clusterHead bool, partitionRate, mergeRate float64) Slot {
+	if groups < 1 || groupSize < 1 {
+		return Slot{zero: true}
 	}
-	n := float64(s.GroupSize)
-	g := float64(s.Groups)
-	var b Breakdown
+	n := float64(groupSize)
+	g := float64(groups)
+	s := Slot{g: g, meanHops: p.MeanHops}
 
 	// Group communication: each member multicasts data packets at rate
 	// LambdaQ; BFS-tree delivery to a group of n costs n-1 link
 	// transmissions per packet.
-	b.GC = g * n * p.LambdaQ * p.PacketBits * (n - 1)
+	s.gc = g * n * p.LambdaQ * p.PacketBits * (n - 1)
 
 	// Status exchange: neighbor-scope gossip of host-IDS observations.
-	b.Status = g * n * p.StatusRate * p.StatusBits * p.MeanDegree
+	s.status = g * n * p.StatusRate * p.StatusBits * p.MeanDegree
 
-	// Rekeying: join/leave churn plus IDS evictions, each a full GDH.2
-	// run whose values travel MeanHops on average.
-	rekeyRate := n*(p.JoinRate+p.LeaveRate) + s.EvictionRekeyRate
-	rekeyBits := gdhValues(s.GroupSize) * float64(p.GDHElementBits)
-	b.Rekey = g * rekeyRate * rekeyBits * p.MeanHops
+	// Rekeying: join/leave churn plus IDS evictions (added in Finish),
+	// each a full GDH.2 run whose values travel MeanHops on average.
+	s.churn = n * (p.JoinRate + p.LeaveRate)
+	s.rekeyBits = gdhValues(groupSize) * float64(p.GDHElementBits)
 
 	// IDS traffic per invocation. Voting: every member is assessed by a
 	// panel of m voters; each voter unicasts a vote to the panel
 	// coordinator and the verdict is multicast back (m + m transmissions
 	// of VoteBits per target, each over MeanHops). Cluster-head: each
 	// member unicasts one status report to the head per round.
-	var perRound float64
-	if s.ClusterHead {
-		perRound = n * p.VoteBits * p.MeanHops
+	if clusterHead {
+		s.perRound = n * p.VoteBits * p.MeanHops
 	} else {
 		mEff := float64(p.M)
 		if pool := n - 1; pool < mEff {
@@ -188,16 +207,31 @@ func (p Params) Evaluate(s State) Breakdown {
 				mEff = 0
 			}
 		}
-		perRound = n * (2 * mEff) * p.VoteBits * p.MeanHops
+		s.perRound = n * (2 * mEff) * p.VoteBits * p.MeanHops
 	}
-	b.IDS = g * s.DetectionRate * perRound
 
 	// Beacons: one-hop broadcasts.
-	b.Beacon = g * n * p.BeaconRate * p.BeaconBits
+	s.beacon = g * n * p.BeaconRate * p.BeaconBits
 
 	// Merge/partition: each event reforms group state with a GDH rekey
 	// across the affected membership.
-	b.MP = (s.PartitionRate + s.MergeRate) * rekeyBits * p.MeanHops
+	s.mp = (partitionRate + mergeRate) * s.rekeyBits * p.MeanHops
+	return s
+}
 
-	return b
+// Finish completes the slot's breakdown for a state with IDS invocation
+// rate detectionRate and per-group eviction rate evictionRekeyRate.
+func (s *Slot) Finish(detectionRate, evictionRekeyRate float64) Breakdown {
+	if s.zero {
+		return Breakdown{}
+	}
+	rekeyRate := s.churn + evictionRekeyRate
+	return Breakdown{
+		GC:     s.gc,
+		Status: s.status,
+		Rekey:  s.g * rekeyRate * s.rekeyBits * s.meanHops,
+		IDS:    s.g * detectionRate * s.perRound,
+		Beacon: s.beacon,
+		MP:     s.mp,
+	}
 }

@@ -55,7 +55,7 @@ func (ctx *SolveContext) solveDirect() linalg.Vector {
 	if ctx.direct == nil {
 		return nil
 	}
-	x, passes, ok := ctx.direct.solve(ctx.A, ctx.B)
+	x, passes, ok := ctx.direct.solve(ctx.A, ctx.B, nil)
 	ctx.countIters(blockTriBackend, uint64(passes))
 	if !ok {
 		return nil

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/linalg"
@@ -45,9 +46,21 @@ type Chain struct {
 	iluSubTErr  error
 
 	// The exact block-triangular factorizations of the same two matrices,
-	// the first rung of every "auto" solve (direct.go).
+	// the first rung of every "auto" solve (direct.go). Their symbolic
+	// analyses are shared with every PatchedChain cloned from this chain.
 	dirSub  blockTriDirect
 	dirSubT blockTriDirect
+
+	// patchOnce builds, at most once, what every PatchedChain cloned from
+	// this chain shares (patch.go); patch publishes it for SharedPatchBytes.
+	patchOnce sync.Once
+	patch     atomic.Pointer[patchPattern]
+	patchErr  error
+
+	// The transient→absorbing entries the absorption split walks
+	// (solution.go), built once per pattern and shared like patch.
+	absOnce  sync.Once
+	absTerms atomic.Pointer[absorptionTable]
 
 	// solver is the explicit backend selected for this chain (nil routes
 	// through DefaultSolverBackend).
@@ -168,6 +181,7 @@ func NewChain(q *linalg.CSR) (*Chain, error) {
 func newChain(q *linalg.CSR, absorbing []bool) *Chain {
 	n := q.Rows
 	c := &Chain{n: n, q: q, absorbing: absorbing, tIdx: make([]int, n)}
+	c.dirSub.pattern, c.dirSubT.pattern = new(blockTriPattern), new(blockTriPattern)
 	for i := 0; i < n; i++ {
 		if absorbing[i] {
 			c.tIdx[i] = -1
@@ -220,19 +234,22 @@ func (c *Chain) subGenerator() *linalg.CSR {
 // models, plus append slack.
 const directFactorWords = 10
 
-// SizeBytes estimates the bytes the chain holds once solved: the
-// generator, the transient index maps, and the solve state every auto
+// SizeBytes estimates the bytes the chain holds once solved and analysed:
+// the generator, the transient index maps, the solve state every auto
 // solve builds — the transposed transient sub-generator Q_TT^T and the
-// exact block-triangular factors of it. The solve state is predicted from
-// the pattern (an O(nnz) count of Q_TT's entries) whether or not it has
-// been built yet, so a chain charged before its first solve is charged for
-// what that solve adds, and no lazily built field is read.
+// exact block-triangular factors of it — and the absorption split's table
+// of transient→absorbing entries. These are predicted from the pattern (an
+// O(nnz) count of Q_TT's entries) whether or not they have been built yet,
+// so a chain charged before its first solve is charged for what that
+// solve adds, and no lazily built field is read.
 func (c *Chain) SizeBytes() int64 {
-	const word = 8
+	const word, absorptionTerm = 8, 24
 	n, nt := int64(c.n), int64(len(c.tRev))
+	subNNZ := int64(c.subNNZ())
 	size := csrBytes(n, int64(c.q.NNZ()))
 	size += n + n*word + nt*word // absorbing, tIdx, tRev
-	size += csrBytes(nt, int64(c.subNNZ()))
+	size += csrBytes(nt, subNNZ)
+	size += (int64(c.q.NNZ()) - subNNZ) * absorptionTerm
 	return size + nt*directFactorWords*word
 }
 
@@ -315,7 +332,7 @@ func (c *Chain) solveVia(a *linalg.CSR, rhs linalg.Vector, ilu func() (*linalg.I
 // have y[j] = 0. This single solve yields MTTA (sum of y), any accumulated
 // reward (dot product with a reward vector), and absorption splits.
 func (c *Chain) SojournTimes(init int) (linalg.Vector, error) {
-	at, rhs, y, done, err := c.transientSystem(init)
+	at, rhs, y, done, err := c.transientSystem(init, nil, nil)
 	if done || err != nil {
 		return y, err
 	}
@@ -330,12 +347,13 @@ func (c *Chain) SojournTimes(init int) (linalg.Vector, error) {
 // transientSystem prepares the transposed transient sojourn system for a
 // chain started in init: A = Q_TT^T and rhs = -e_init (compact numbering).
 // When no solve is needed (absorbing start, empty transient set) it
-// returns done == true with the zero sojourn vector.
-func (c *Chain) transientSystem(init int) (at *linalg.CSR, rhs, y linalg.Vector, done bool, err error) {
+// returns done == true with the zero sojourn vector. y and rhs are built in
+// yBuf and rhsBuf when they have the right lengths, else allocated.
+func (c *Chain) transientSystem(init int, yBuf, rhsBuf linalg.Vector) (at *linalg.CSR, rhs, y linalg.Vector, done bool, err error) {
 	if init < 0 || init >= c.n {
 		return nil, nil, nil, false, fmt.Errorf("ctmc: initial state %d out of range", init)
 	}
-	y = linalg.NewVector(c.n)
+	y = zeroed(yBuf, c.n)
 	if c.absorbing[init] || len(c.tRev) == 0 {
 		return nil, nil, y, true, nil
 	}
@@ -345,9 +363,18 @@ func (c *Chain) transientSystem(init int) (at *linalg.CSR, rhs, y linalg.Vector,
 		return nil, nil, nil, false, fmt.Errorf("ctmc: chain has no absorbing states; MTTA is infinite")
 	}
 	at = c.subGeneratorT()
-	rhs = linalg.NewVector(len(c.tRev))
+	rhs = zeroed(rhsBuf, len(c.tRev))
 	rhs[c.tIdx[init]] = -1
 	return at, rhs, y, false, nil
+}
+
+// zeroed returns buf cleared when it has length n, else a new zero vector.
+func zeroed(buf linalg.Vector, n int) linalg.Vector {
+	if len(buf) != n {
+		return linalg.NewVector(n)
+	}
+	clear(buf)
+	return buf
 }
 
 // expandTransient scatters a compact transient solution into the

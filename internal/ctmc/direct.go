@@ -42,9 +42,14 @@ const (
 // may spend reaching solverTol before it counts as stalled.
 const directRefinePasses = 2
 
-// directAnalyses counts symbolic analyses (linalg.NewBlockTriLU calls), so
-// tests can pin that a declined matrix is analyzed only once.
+// directAnalyses counts symbolic analyses (linalg.AnalyzeBlockTri calls),
+// so tests can pin that a pattern is analyzed only once: a declined one,
+// and one shared by an anchor chain and its patched sessions.
 var directAnalyses atomic.Uint64
+
+// DirectAnalyses returns the cumulative number of symbolic analyses the
+// exact direct solve has run.
+func DirectAnalyses() uint64 { return directAnalyses.Load() }
 
 // Direct-solve declines by reason. The registry counters are the only
 // store; tests read them through these handles.
@@ -60,7 +65,7 @@ func directDeclines(reason string) *obs.Counter {
 		obs.L("reason", reason))
 }
 
-// countDecline records why NewBlockTriLU or Refresh turned a matrix down.
+// countDecline records why AnalyzeBlockTri or Refresh turned a matrix down.
 // A shape mismatch is a caller bug, not a decline, and is not counted.
 func countDecline(err error) {
 	switch {
@@ -71,13 +76,39 @@ func countDecline(err error) {
 	}
 }
 
-// blockTriDirect is one matrix's direct-solve state: the factorization,
-// analyzed at most once, or the record that the matrix was declined.
-// Solves are serialized by mu (the factorization owns scratch space); the
-// value-patched chain marks the factors stale after rewriting the matrix
-// values, and the next solve refreshes them.
+// blockTriPattern is one sparsity pattern's symbolic analysis, run at most
+// once and shared read-only by every matrix of the pattern: a chain's own
+// solves and the solves of every patched chain cloned from it. proto is
+// nil when the pattern was declined (an SCC over directMaxBlock).
+type blockTriPattern struct {
+	once  sync.Once
+	proto *linalg.BlockTriLU
+}
+
+// analyze returns the pattern's symbolic analysis of a, running it on first
+// use, or nil when the pattern is declined.
+func (p *blockTriPattern) analyze(a *linalg.CSR) *linalg.BlockTriLU {
+	p.once.Do(func() {
+		directAnalyses.Add(1)
+		f, err := linalg.AnalyzeBlockTri(a, directMaxBlock)
+		if err != nil {
+			countDecline(err)
+			return
+		}
+		p.proto = f
+	})
+	return p.proto
+}
+
+// blockTriDirect is one matrix's direct-solve state: its numeric
+// factorization over the pattern's shared analysis, made at most once, or
+// the record that the matrix was declined. Solves are serialized by mu
+// (the factorization owns scratch space); the value-patched chain marks
+// the factors stale after rewriting the matrix values, and the next solve
+// refreshes them.
 type blockTriDirect struct {
 	mu       sync.Mutex
+	pattern  *blockTriPattern // shared by every matrix of the pattern
 	analyzed bool
 	f        *linalg.BlockTriLU // nil before analysis and once declined
 	stale    bool
@@ -100,21 +131,25 @@ func (d *blockTriDirect) declined() bool {
 	return d.analyzed && d.f == nil
 }
 
-// solve returns the solution of a x = rhs in a fresh vector and the number
-// of refinement passes it took, or ok == false when the direct solve
-// declines the matrix.
-func (d *blockTriDirect) solve(a *linalg.CSR, rhs linalg.Vector) (x linalg.Vector, passes int, ok bool) {
+// solve returns the solution of a x = rhs and the number of refinement
+// passes it took, or ok == false when the direct solve declines the
+// matrix. The solution is written in xBuf when it has the right length,
+// else in a fresh vector.
+func (d *blockTriDirect) solve(a *linalg.CSR, rhs, xBuf linalg.Vector) (x linalg.Vector, passes int, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	switch {
 	case !d.analyzed:
 		d.analyzed, d.stale = true, false
-		directAnalyses.Add(1)
-		// NewBlockTriLU performs the initial numeric factorization itself.
-		// Its error (an SCC over directMaxBlock, a singular block) only
-		// says why the matrix is declined; the iterative rung answers.
-		f, err := linalg.NewBlockTriLU(a, directMaxBlock)
-		if err != nil {
+		// A declined pattern (an SCC over directMaxBlock) or a singular
+		// block only says why the matrix is declined; the iterative rung
+		// answers.
+		proto := d.pattern.analyze(a)
+		if proto == nil {
+			return nil, 0, false
+		}
+		f := proto.Clone()
+		if err := f.Refresh(a); err != nil {
 			countDecline(err)
 			return nil, 0, false
 		}
@@ -130,7 +165,10 @@ func (d *blockTriDirect) solve(a *linalg.CSR, rhs linalg.Vector) (x linalg.Vecto
 		}
 	}
 	n := len(rhs)
-	x = linalg.NewVector(n)
+	x = xBuf
+	if len(x) != n {
+		x = linalg.NewVector(n)
+	}
 	d.f.Solve(x, rhs)
 	bn := rhs.Norm2()
 	if bn == 0 {

@@ -258,8 +258,8 @@ func TestDirectDeclinesCountedByReason(t *testing.T) {
 	b.Add(1, 0, 1)
 	b.Add(1, 1, -1)
 	before = snapshot()
-	var d blockTriDirect
-	if _, _, ok := d.solve(b.Build(), linalg.Vector{1, 1}); ok {
+	d := blockTriDirect{pattern: new(blockTriPattern)}
+	if _, _, ok := d.solve(b.Build(), linalg.Vector{1, 1}, nil); ok {
 		t.Fatal("direct solve accepted a singular block")
 	}
 	check(before, 0, 1, 0)

@@ -36,6 +36,7 @@ type Solution struct {
 	chain *Chain
 	init  int
 	y     linalg.Vector // expected sojourn time per state before absorption
+	abs   linalg.Vector // AbsorptionSplit's accumulator, when reused
 }
 
 // Solve performs the single transient solve for a chain started in init
@@ -122,4 +123,96 @@ func (s *Solution) AbsorptionProbabilityVector() linalg.Vector {
 		}
 	}
 	return probs
+}
+
+// absorptionTable lists a chain's transient→absorbing generator entries in
+// the order AbsorptionProbabilityVector sums them: transient states in
+// state order, each row's entries in column order. q.Val[k] is the rate
+// from state j into the absorbing state of ordinal a, its rank among the
+// chain's absorbing states in state order. It depends on the pattern
+// alone, so a patched chain shares its donor's.
+type absorptionTable struct {
+	terms      []absorptionTerm
+	nAbsorbing int
+}
+
+type absorptionTerm struct{ k, j, a int }
+
+func (t *absorptionTable) sizeBytes() int64 {
+	const termBytes = 24
+	return int64(cap(t.terms)) * termBytes
+}
+
+// absorptionTerms returns the chain's absorption table, building it on
+// first use.
+func (c *Chain) absorptionTerms() *absorptionTable {
+	c.absOnce.Do(func() {
+		ord := make([]int, c.n)
+		t := &absorptionTable{}
+		for i, abs := range c.absorbing {
+			if abs {
+				ord[i] = t.nAbsorbing
+				t.nAbsorbing++
+			}
+		}
+		for _, j := range c.tRev {
+			for k := c.q.RowPtr[j]; k < c.q.RowPtr[j+1]; k++ {
+				if dst := c.q.ColIdx[k]; dst != j && c.absorbing[dst] {
+					t.terms = append(t.terms, absorptionTerm{k: k, j: j, a: ord[dst]})
+				}
+			}
+		}
+		c.absTerms.Store(t)
+	})
+	return c.absTerms.Load()
+}
+
+// NumAbsorbing returns the number of absorbing states.
+func (c *Chain) NumAbsorbing() int { return c.n - len(c.tRev) }
+
+// AbsorptionSplit adds the probability of absorption in each absorbing
+// state into out[class[a]], where a is the state's rank among the chain's
+// absorbing states in state order (len(class) == NumAbsorbing()). States
+// of zero probability are skipped, and every sum runs in the order of
+// AbsorptionProbabilityVector, so the class totals are bitwise those of
+// summing that vector's entries by class in state order. It walks only
+// the transient→absorbing entries of the generator and allocates one
+// vector over the absorbing states (a patched chain's Solution reuses its
+// chain's).
+func (s *Solution) AbsorptionSplit(class []uint8, out []float64) {
+	c := s.chain
+	t := c.absorptionTerms()
+	if len(class) != t.nAbsorbing {
+		panic(fmt.Sprintf("ctmc: %d absorption classes for %d absorbing states", len(class), t.nAbsorbing))
+	}
+	if c.absorbing[s.init] {
+		a := 0
+		for _, abs := range c.absorbing[:s.init] {
+			if abs {
+				a++
+			}
+		}
+		out[class[a]] += 1
+		return
+	}
+	acc := zeroed(s.abs, t.nAbsorbing)
+	total := 0.0
+	for _, e := range t.terms {
+		yj := s.y[e.j]
+		if yj == 0 {
+			continue
+		}
+		v := yj * c.q.Val[e.k]
+		acc[e.a] += v
+		total += v
+	}
+	for a, p := range acc {
+		// Clamp tiny numerical drift, as AbsorptionProbabilityVector does.
+		if total > 0 {
+			p /= total
+		}
+		if p != 0 {
+			out[class[a]] += p
+		}
+	}
 }

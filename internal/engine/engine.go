@@ -527,15 +527,20 @@ func (e *Engine) evaluate(key string, cfg core.Config) (*core.Result, error) {
 // removes it, so no two goroutines ever share one.
 type sessionPool struct {
 	anchor *core.Prepared
-	// anchorBytes is anchor.SizeBytes(), taken once when the anchor is
-	// published: the estimate walks the chain's pattern, and the pool is
-	// re-charged on every take and return.
+	// anchorBytes is anchor.SizeBytes() less its SessionBytes(), taken
+	// once when the anchor is published: the estimate walks the chain's
+	// pattern, and the pool is re-charged on every take and return. The
+	// state the sessions share is built by the first of them, after the
+	// publish, so it is read afresh at every charge.
 	anchorBytes int64
 	idle        []*core.PreparedDelta
 }
 
 func (sp *sessionPool) sizeBytes() int64 {
 	n := sp.anchorBytes
+	if sp.anchor != nil { // a pool re-created by putSession after an eviction
+		n += sp.anchor.SessionBytes()
+	}
 	for _, pd := range sp.idle {
 		n += pd.SizeBytes()
 	}
@@ -608,7 +613,7 @@ func (e *Engine) sessionFor(family string) (*core.PreparedDelta, func(*core.Prep
 func (e *Engine) publishAnchor(family string, call *anchorCall, p *core.Prepared) {
 	var size int64
 	if p != nil {
-		size = p.SizeBytes()
+		size = p.SizeBytes() - p.SessionBytes()
 	}
 	e.pmu.Lock()
 	defer e.pmu.Unlock()

@@ -2,10 +2,8 @@ package engine
 
 import (
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 )
 
 // Fingerprint returns a canonical cache key for a configuration: two
@@ -26,70 +24,64 @@ import (
 // and TestFingerprintIgnoresSolver).
 //
 // Floats are encoded with exact binary formatting, so no two distinct
-// parameterizations collide.
+// parameterizations collide. The key is built in one stack buffer and
+// copied out once: one allocation per call.
 func Fingerprint(cfg core.Config) string {
-	var b strings.Builder
-	b.Grow(256)
-	f := func(v float64) {
-		b.WriteString(strconv.FormatFloat(v, 'b', -1, 64))
-		b.WriteByte('|')
-	}
-	i := func(v int) {
-		b.WriteString(strconv.Itoa(v))
-		b.WriteByte('|')
-	}
-	bo := func(v bool) {
-		if v {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-		b.WriteByte('|')
-	}
-
-	// Model parameters (every field of core.Config in declaration order;
-	// TestFingerprintCoversConfig pins the field count so a new field
-	// cannot be forgotten here silently).
-	i(int(cfg.Protocol))
-	i(cfg.N)
-	i(int(cfg.Attacker))
-	i(int(cfg.Detection))
-	f(cfg.LambdaC)
-	f(cfg.TIDS)
-	f(cfg.ShapeP)
-	i(cfg.M)
-	f(cfg.P1)
-	f(cfg.P2)
-	f(cfg.LambdaQ)
-	f(cfg.JoinRate)
-	f(cfg.LeaveRate)
-	f(cfg.BandwidthBps)
-	i(cfg.GDHElementBits)
-	f(cfg.PartitionRate)
-	f(cfg.MergeRate)
-	i(cfg.MaxGroups)
-	f(cfg.MeanHops)
-	f(cfg.MeanDegree)
-	bo(cfg.ExplicitEviction)
-	i(cfg.EffectiveMaxStates())
-
-	// Effective cost parameters (canonical whether Cost was nil or given).
-	fingerprintCost(&b, cfg.EffectiveCost(), f, i)
-	return b.String()
+	var buf [768]byte
+	b := fingerprintKey(buf[:0], cfg)
+	return string(b)
 }
 
-func fingerprintCost(b *strings.Builder, p cost.Params, f func(float64), i func(int)) {
-	f(p.PacketBits)
-	f(p.StatusBits)
-	f(p.StatusRate)
-	f(p.VoteBits)
-	f(p.BeaconBits)
-	f(p.BeaconRate)
-	i(p.GDHElementBits)
-	f(p.MeanHops)
-	f(p.MeanDegree)
-	f(p.LambdaQ)
-	f(p.JoinRate)
-	f(p.LeaveRate)
-	i(p.M)
+// fingerprintKey appends cfg's key to b: every field of core.Config in
+// declaration order (TestFingerprintCoversConfig pins the field count so
+// a new field cannot be forgotten here silently), then the effective cost
+// parameters (canonical whether Cost was nil or given), each followed by
+// '|'.
+func fingerprintKey(b []byte, cfg core.Config) []byte {
+	f := func(b []byte, v float64) []byte { return append(strconv.AppendFloat(b, v, 'b', -1, 64), '|') }
+	i := func(b []byte, v int) []byte { return append(strconv.AppendInt(b, int64(v), 10), '|') }
+	bo := func(b []byte, v bool) []byte {
+		if v {
+			return append(b, '1', '|')
+		}
+		return append(b, '0', '|')
+	}
+
+	b = i(b, int(cfg.Protocol))
+	b = i(b, cfg.N)
+	b = i(b, int(cfg.Attacker))
+	b = i(b, int(cfg.Detection))
+	b = f(b, cfg.LambdaC)
+	b = f(b, cfg.TIDS)
+	b = f(b, cfg.ShapeP)
+	b = i(b, cfg.M)
+	b = f(b, cfg.P1)
+	b = f(b, cfg.P2)
+	b = f(b, cfg.LambdaQ)
+	b = f(b, cfg.JoinRate)
+	b = f(b, cfg.LeaveRate)
+	b = f(b, cfg.BandwidthBps)
+	b = i(b, cfg.GDHElementBits)
+	b = f(b, cfg.PartitionRate)
+	b = f(b, cfg.MergeRate)
+	b = i(b, cfg.MaxGroups)
+	b = f(b, cfg.MeanHops)
+	b = f(b, cfg.MeanDegree)
+	b = bo(b, cfg.ExplicitEviction)
+	b = i(b, cfg.EffectiveMaxStates())
+
+	p := cfg.EffectiveCost()
+	b = f(b, p.PacketBits)
+	b = f(b, p.StatusBits)
+	b = f(b, p.StatusRate)
+	b = f(b, p.VoteBits)
+	b = f(b, p.BeaconBits)
+	b = f(b, p.BeaconRate)
+	b = i(b, p.GDHElementBits)
+	b = f(b, p.MeanHops)
+	b = f(b, p.MeanDegree)
+	b = f(b, p.LambdaQ)
+	b = f(b, p.JoinRate)
+	b = f(b, p.LeaveRate)
+	return i(b, p.M)
 }

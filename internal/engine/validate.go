@@ -36,42 +36,44 @@ func ValidateResult(r *core.Result) error {
 	if r == nil {
 		return fmt.Errorf("engine: nil result")
 	}
-	return findNonFinite(reflect.ValueOf(*r), "Result")
+	if path, f, ok := findNonFinite(reflect.ValueOf(*r)); ok {
+		return fmt.Errorf("Result%s = %v", path, f)
+	}
+	return nil
 }
 
-// findNonFinite walks v and returns an error naming the path of the first
-// NaN/Inf float encountered.
-func findNonFinite(v reflect.Value, path string) error {
+// findNonFinite walks v and returns the path below v of the first NaN/Inf
+// float encountered, and its value. The path is built only for a float it
+// finds, so a finite value costs no allocation.
+func findNonFinite(v reflect.Value) (path string, f float64, ok bool) {
 	switch v.Kind() {
 	case reflect.Float32, reflect.Float64:
-		f := v.Float()
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("%s = %v", path, f)
+		if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
+			return "", f, true
 		}
 	case reflect.Struct:
-		t := v.Type()
 		for i := 0; i < v.NumField(); i++ {
-			if err := findNonFinite(v.Field(i), path+"."+t.Field(i).Name); err != nil {
-				return err
+			if path, f, ok := findNonFinite(v.Field(i)); ok {
+				return "." + v.Type().Field(i).Name + path, f, true
 			}
 		}
 	case reflect.Slice, reflect.Array:
 		for i := 0; i < v.Len(); i++ {
-			if err := findNonFinite(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); err != nil {
-				return err
+			if path, f, ok := findNonFinite(v.Index(i)); ok {
+				return fmt.Sprintf("[%d]", i) + path, f, true
 			}
 		}
 	case reflect.Map:
 		iter := v.MapRange()
 		for iter.Next() {
-			if err := findNonFinite(iter.Value(), fmt.Sprintf("%s[%v]", path, iter.Key())); err != nil {
-				return err
+			if path, f, ok := findNonFinite(iter.Value()); ok {
+				return fmt.Sprintf("[%v]", iter.Key()) + path, f, true
 			}
 		}
 	case reflect.Pointer, reflect.Interface:
 		if !v.IsNil() {
-			return findNonFinite(v.Elem(), path)
+			return findNonFinite(v.Elem())
 		}
 	}
-	return nil
+	return "", 0, false
 }

@@ -30,7 +30,8 @@ var (
 // preconditioner application, for an exact answer.
 //
 // The symbolic phase (condensation, ordering, block layouts) depends only
-// on the CSR pattern and is computed once; Refresh re-extracts the numeric
+// on the CSR pattern and is computed once (AnalyzeBlockTri), and clones
+// share it; Refresh re-extracts the numeric
 // factors from a same-pattern matrix in O(nnz + Σ blockSize³), which is
 // what makes the type the natural companion of the value-patched
 // incremental re-solve path. A pattern whose largest component exceeds
@@ -56,6 +57,7 @@ type BlockTriLU struct {
 	piv    []int // pivot rows per component, aligned with rows
 
 	scratch []float64 // one block's right-hand side
+	maxM    int       // the largest block's size
 }
 
 // NewBlockTriLU analyzes the pattern of a square, column-sorted CSR matrix
@@ -64,22 +66,48 @@ type BlockTriLU struct {
 // is too cyclic for the block-triangular sweep to stay cheap) or when a
 // diagonal block is singular.
 func NewBlockTriLU(a *CSR, maxBlock int) (*BlockTriLU, error) {
+	sym, err := AnalyzeBlockTri(a, maxBlock)
+	if err != nil {
+		return nil, err
+	}
+	f := sym.Clone()
+	if err := f.Refresh(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// AnalyzeBlockTri runs the symbolic phase alone: the condensation, the
+// block order and the block layouts of a's pattern. The result holds no
+// numeric factors; Clone it and Refresh the clone. Every clone shares the
+// analysis read-only, so one analysis serves any number of matrices of the
+// pattern, on any number of goroutines. It fails when a strongly connected
+// component exceeds maxBlock.
+func AnalyzeBlockTri(a *CSR, maxBlock int) (*BlockTriLU, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("linalg: BlockTriLU requires a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	if maxBlock < 1 {
 		maxBlock = 1
 	}
-	n := a.Rows
-	f := &BlockTriLU{n: n, rowPtr: a.RowPtr, colIdx: a.ColIdx}
+	f := &BlockTriLU{n: a.Rows, rowPtr: a.RowPtr, colIdx: a.ColIdx}
 	if err := f.condense(maxBlock); err != nil {
 		return nil, err
 	}
 	f.layoutBlocks()
-	if err := f.Refresh(a); err != nil {
-		return nil, err
-	}
 	return f, nil
+}
+
+// Clone returns a factorization that shares f's symbolic analysis and owns
+// fresh numeric arrays (factors, pivots, scratch): Refresh it before the
+// first Solve.
+func (f *BlockTriLU) Clone() *BlockTriLU {
+	c := *f
+	c.val = nil
+	c.fac = make([]float64, f.facPtr[len(f.facPtr)-1])
+	c.piv = make([]int, len(f.rows))
+	c.scratch = make([]float64, f.maxM)
+	return &c
 }
 
 // condense runs an iterative Tarjan SCC pass over the pattern. Tarjan
@@ -173,13 +201,9 @@ func (f *BlockTriLU) layoutBlocks() {
 	}
 	f.entPtr = make([]int, 1, nb+1)
 	f.facPtr = make([]int, nb+1)
-	f.piv = make([]int, len(f.rows))
-	maxM := 0
 	for b := 0; b < nb; b++ {
 		m := f.blkPtr[b+1] - f.blkPtr[b]
-		if m > maxM {
-			maxM = m
-		}
+		f.maxM = max(f.maxM, m)
 		for _, gi := range f.rows[f.blkPtr[b]:f.blkPtr[b+1]] {
 			for k := f.rowPtr[gi]; k < f.rowPtr[gi+1]; k++ {
 				if w := f.colIdx[k]; f.comp[w] == b {
@@ -191,8 +215,6 @@ func (f *BlockTriLU) layoutBlocks() {
 		f.entPtr = append(f.entPtr, len(f.entVal))
 		f.facPtr[b+1] = f.facPtr[b] + m*m
 	}
-	f.fac = make([]float64, f.facPtr[nb])
-	f.scratch = make([]float64, maxM)
 }
 
 // Refresh recomputes the numeric factors from a matrix with the analyzed
@@ -309,12 +331,4 @@ func (f *BlockTriLU) Solve(z, r Vector) {
 }
 
 // MaxBlock returns the largest component size of the analyzed pattern.
-func (f *BlockTriLU) MaxBlock() int {
-	max := 0
-	for b := 0; b+1 < len(f.blkPtr); b++ {
-		if m := f.blkPtr[b+1] - f.blkPtr[b]; m > max {
-			max = m
-		}
-	}
-	return max
-}
+func (f *BlockTriLU) MaxBlock() int { return f.maxM }

@@ -130,7 +130,7 @@ func TestBatchPerPointErrors(t *testing.T) {
 	_, client := newTestServer(t, Options{})
 	good := testConfig()
 	bad := testConfig()
-	bad.MaxStates = 10 // valid per Validate, but exploration cannot fit
+	bad.MaxStates = bad.N + 1 // valid per Validate, but exploration cannot fit
 	results, err := client.EvalBatch(context.Background(), []core.Config{good, bad})
 	if err == nil {
 		t.Fatal("batch with an unexplorable point returned nil error")
@@ -179,6 +179,14 @@ func TestRequestValidation(t *testing.T) {
 	one, _ := json.Marshal(EvalRequest{Config: invalid})
 	if got := post("/v1/eval", string(one)); got != http.StatusBadRequest {
 		t.Errorf("invalid config: HTTP %d, want 400", got)
+	}
+	// An N whose tables would exhaust memory before exploration bounds
+	// them is rejected, not built.
+	huge := testConfig()
+	huge.N = 1 << 40
+	body, _ := json.Marshal(EvalRequest{Config: huge})
+	if got := post("/v1/eval", string(body)); got != http.StatusBadRequest {
+		t.Errorf("N = 1<<40: HTTP %d, want 400", got)
 	}
 	if st := eng.Stats(); st.Misses != 0 {
 		t.Errorf("rejected requests reached the engine: %+v", st)

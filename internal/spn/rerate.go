@@ -7,11 +7,15 @@ import (
 
 // Value-only re-rating: a rebuilt Net whose enabling structure matches the
 // one a Graph was explored under induces the *same* reachability graph with
-// different edge rates. CloneForRerate + Rerate exploit that: the expensive
-// immutable structure (interned states, marking table, edge topology) is
-// shared, only the rate values are rewritten in place. This is the graph
-// half of the incremental re-solve path — ctmc.PatchedChain scatters the
-// re-rated edges into the cached CSR pattern without re-assembly.
+// different edge rates. CloneForRerate gives the incremental re-solve path
+// a graph that shares the expensive immutable structure (interned states,
+// marking table, edge topology) and owns its edge rates, which the path
+// rewrites in place from its rate keys (core/ratekeys.go) before
+// ctmc.PatchedChain scatters them into the cached CSR pattern.
+//
+// Rerate is the per-state replay of exploration's enabling scan. No
+// production path calls it: it is the oracle the tests hold the keyed
+// re-rate and its per-key structural check to.
 
 // ErrStructureChanged reports that a Rerate replay found a different
 // enabled-transition set than the one the graph was explored under — the

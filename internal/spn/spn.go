@@ -127,12 +127,14 @@ func (n *Net) AddTransition(t *Transition) error {
 	if t.Name == "" {
 		return fmt.Errorf("spn: transition must be named")
 	}
-	for _, a := range append(append([]Arc{}, t.Inputs...), t.Outputs...) {
-		if a.Place < 0 || a.Place >= len(n.placeNames) {
-			return fmt.Errorf("spn: transition %q references unknown place %d", t.Name, a.Place)
-		}
-		if a.Weight < 1 {
-			return fmt.Errorf("spn: transition %q has arc weight %d < 1", t.Name, a.Weight)
+	for _, arcs := range [2][]Arc{t.Inputs, t.Outputs} {
+		for _, a := range arcs {
+			if a.Place < 0 || a.Place >= len(n.placeNames) {
+				return fmt.Errorf("spn: transition %q references unknown place %d", t.Name, a.Place)
+			}
+			if a.Weight < 1 {
+				return fmt.Errorf("spn: transition %q has arc weight %d < 1", t.Name, a.Weight)
+			}
 		}
 	}
 	n.trans = append(n.trans, t)
@@ -154,6 +156,9 @@ func (n *Net) Transitions() []*Transition {
 	return out
 }
 
+// NumTransitions returns the number of registered transitions.
+func (n *Net) NumTransitions() int { return len(n.trans) }
+
 // SetRates installs the net's rate function, which Explore and Rerate call
 // once per state.
 func (n *Net) SetRates(f RatesFunc) { n.rates = f }
@@ -168,12 +173,17 @@ func enabled(t *Transition, r float64, m Marking) (ok, finite bool) {
 	if r > math.MaxFloat64 {
 		return false, false
 	}
+	return arcsSatisfied(t, m), true
+}
+
+// arcsSatisfied reports whether m holds every input arc's tokens of t.
+func arcsSatisfied(t *Transition, m Marking) bool {
 	for _, a := range t.Inputs {
 		if m[a.Place] < a.Weight {
-			return false, true
+			return false
 		}
 	}
-	return true, true
+	return true
 }
 
 // rateError reports transition ti's non-finite rate r in state si.
@@ -359,6 +369,26 @@ func (g *Graph) StateIndex(m Marking) (int, bool) {
 		return 0, false
 	}
 	return g.table.lookup(m, g.States)
+}
+
+// IdleTransitions appends to out, and returns, the transitions whose input
+// arcs state si satisfies but which have no edge from it: their rate was
+// not positive when the graph was explored. A re-rate that keeps the
+// graph's structure must keep each of them at a rate that is not
+// positive, and each edge's rate positive.
+func (g *Graph) IdleTransitions(si int, out []int) []int {
+	m, edges := g.States[si], g.Edges[si]
+	k := 0
+	for ti, t := range g.Net.trans {
+		if k < len(edges) && edges[k].Transition == ti {
+			k++
+			continue
+		}
+		if arcsSatisfied(t, m) {
+			out = append(out, ti)
+		}
+	}
+	return out
 }
 
 // IsAbsorbing reports whether state i has no outgoing edges.
