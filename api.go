@@ -433,14 +433,17 @@ type SurvivalCurve = core.SurvivalCurve
 type MissionAssurance = core.MissionAssurance
 
 // Survival samples the time-to-security-failure distribution with reps
-// exact CTMC replications, reusing the engine's cached reachability graph.
+// exact CTMC replications over the engine's reachability graph for cfg's
+// structural family: one explore per family, every other point of it a
+// patched re-solve.
 func Survival(cfg Config, reps int, seed int64) (*SurvivalCurve, error) {
 	return engine.Default().Survival(cfg, reps, seed)
 }
 
 // AssureMission evaluates P(survive missionTime) across a TIDS grid and
 // returns the operating point maximizing it. The mean-optimal and
-// assurance-optimal TIDS can differ; missions care about the latter.
+// assurance-optimal TIDS can differ; missions care about the latter. The
+// grid is one structural family, so it explores once.
 func AssureMission(cfg Config, grid []float64, missionTime float64, reps int, seed int64) (*MissionAssurance, error) {
 	return engine.Default().AssureMission(cfg, grid, missionTime, reps, seed)
 }
@@ -451,7 +454,8 @@ type EventCounts = core.EventCounts
 
 // ExpectedCounts computes the expected number of each model event over one
 // mission, cross-validated against the Monte Carlo simulator's counters.
-// The counts derive from the engine's cached solve for the configuration.
+// The counts derive from the engine's solve for the configuration, on its
+// structural family's graph: one explore per family.
 func ExpectedCounts(cfg Config) (*EventCounts, error) {
 	p, err := engine.Default().Prepared(cfg)
 	if err != nil {

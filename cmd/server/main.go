@@ -91,7 +91,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "max configurations per batch request (0 = 4096)")
 	workers := flag.Int("workers", 0, "evaluation worker pool size (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache-size", 0, "result cache entries (0 = 4096)")
-	preparedMB := flag.Int64("prepared-mb", 0, "prepared-model cache budget in MiB (0 = 256)")
+	preparedMB := flag.Int64("prepared-mb", 0, "family-store budget in MiB: each structural family's anchor graph and idle sessions (0 = 256)")
 	solveTimeout := flag.Duration("solve-timeout", 0, "per-point watchdog: abandon a solve with a retryable 503 after this long (0 = no watchdog)")
 	nodeID := flag.String("node-id", "", "this node's cluster identity (requires -peers)")
 	peers := flag.String("peers", "", "full cluster topology as id=url,id=url,... including this node (empty = single-node)")

@@ -175,8 +175,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.N < 2:
 		return fmt.Errorf("core: N = %d, need >= 2", c.N)
-	case c.MaxStates < 0:
-		return fmt.Errorf("core: MaxStates = %d, need >= 0", c.MaxStates)
+	case c.MaxStates < 0 || c.MaxStates > MaxStatesCeiling:
+		return fmt.Errorf("core: MaxStates = %d, need 0 to %d", c.MaxStates, MaxStatesCeiling)
 	case c.N > c.EffectiveMaxStates()-1:
 		// The model's tables are sized by N before exploration applies its
 		// bound, and a group of N members has at least N+1 states.
@@ -230,6 +230,13 @@ func (c Config) Validate() error {
 // DefaultMaxStates is the reachability-exploration bound applied when
 // Config.MaxStates is zero.
 const DefaultMaxStates = 2_000_000
+
+// MaxStatesCeiling is the largest MaxStates Validate accepts, about 8x
+// DefaultMaxStates. BuildModel sizes its detection table by N and the
+// voting table by MaxStates before exploration bounds anything, so the
+// ceiling caps each such table at 128 MiB; it also keeps every state
+// index well inside the explorer's int32 range.
+const MaxStatesCeiling = 1 << 24
 
 // EffectiveCost returns the cost.Params this configuration actually
 // evaluates with: the explicit override if set, otherwise the defaults

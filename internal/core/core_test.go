@@ -44,6 +44,7 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		"HugeN":     func(c *Config) { c.N = 1 << 40 },
 		"NOverMax":  func(c *Config) { c.MaxStates = c.N },
 		"MaxStates": func(c *Config) { c.MaxStates = -1 },
+		"HugeMax":   func(c *Config) { c.N, c.MaxStates = 1<<40-1, 1<<40 },
 	}
 	for name, mut := range mutations {
 		cfg := DefaultConfig()

@@ -9,11 +9,12 @@
 //  1. Single-solve reuse: each configuration is solved once; MTTSF, Ĉtotal,
 //     the failure split, expected event counts, and survival sampling all
 //     derive from that one ctmc.Solution via core.Prepared.
-//  2. Patched misses: a miss re-rates a pooled incremental session of the
+//  2. Patched misses: a miss re-rates an idle incremental session of the
 //     point's structural family (core.PreparedDelta) and re-solves in
 //     place, so a family explores and assembles once per engine lifetime
 //     (see evaluate). Sweeps, design spaces and the adaptive frontier all
-//     reach this one patch driver through Eval.
+//     reach this one patch driver through Eval; the family store (family)
+//     holds each family's anchor and idle sessions.
 //  3. Memoization: full Results are cached behind a canonical Config
 //     fingerprint (see Fingerprint) in a concurrency-safe LRU with
 //     in-flight deduplication, so overlapping grids — SweepTIDS,
@@ -50,14 +51,11 @@ type Options struct {
 	// fingerprint-hashed shards, each holding CacheSize/shards entries,
 	// so concurrent EvalBatch hits do not serialize on one mutex.
 	CacheSize int
-	// PreparedCacheSize bounds the prepared-model LRU by entry count
-	// (default 64). It is the secondary bound; PreparedCacheBytes is the
-	// primary one, since entries hold full reachability graphs whose
-	// footprint varies by orders of magnitude with N.
-	PreparedCacheSize int
-	// PreparedCacheBytes bounds the prepared-model LRU by the summed
-	// core.Prepared.SizeBytes estimates (default 256 MiB). Zero selects
-	// the default; negative disables the byte budget.
+	// PreparedCacheBytes bounds the family store, an LRU over structural
+	// families, by the summed estimates of each family's anchor and idle
+	// sessions (default 256 MiB): a family holds a full reachability
+	// graph, whose footprint varies by orders of magnitude with N. Zero
+	// selects the default; negative disables the bound.
 	PreparedCacheBytes int64
 	// Workers bounds EvalBatch parallelism (default GOMAXPROCS).
 	Workers int
@@ -76,13 +74,12 @@ type Stats struct {
 	Evals uint64
 	// Evictions counts Result-cache LRU evictions across all shards.
 	Evictions uint64
-	// Entries and PreparedEntries are current cache occupancies; a
-	// family's pool — its anchor model and its idle incremental sessions
-	// — is one prepared entry.
+	// Entries is the Result cache's occupancy and PreparedEntries the
+	// family store's: one entry per structural family, its anchor and
+	// idle incremental sessions together.
 	Entries, PreparedEntries int
-	// PreparedBytes is the estimated footprint of the prepared-model LRU:
-	// the cached Prepared models and the family pools' anchors and idle
-	// sessions.
+	// PreparedBytes is the estimated footprint of the family store: every
+	// family's anchor and idle sessions.
 	PreparedBytes int64
 
 	// PanicsRecovered counts evaluations that panicked and were recovered
@@ -130,24 +127,19 @@ func (s Stats) String() string {
 // The Result cache and its in-flight deduplication map are striped across
 // fingerprint-hashed shards, each behind its own mutex, so concurrent
 // cache hits from EvalBatch workers touch disjoint locks. Hit/miss/eval
-// accounting is kept in atomics shared across shards. The prepared-model
-// cache stays behind one mutex: it is touched once or twice per miss (to
-// take and return a pooled session, or to find and cache a full prepare)
-// and the lock is never held across a build, a clone or a solve.
+// accounting is kept in atomics shared across shards. The family store
+// stays behind one mutex: it is touched once or twice per miss (to take
+// and return a session) and the lock is never held across a build, a
+// clone or a solve.
 type Engine struct {
 	workers int
 
 	shards []resultShard
 
-	pmu sync.Mutex
-	// prepared maps fingerprints to full *core.Prepared models and
-	// poolKey(family) to that structural family's *sessionPool, all under
-	// one byte budget.
-	prepared *lruCache
-	// anchoring maps poolKey(family) to the family's in-flight anchor
-	// prepare. It is not a cache: an entry lives only while its leader
-	// runs, and Reset leaves it alone.
-	anchoring map[string]*anchorCall
+	fmu sync.Mutex
+	// families is the family store: core.StructuralKey to the family's
+	// anchor and idle sessions, an LRU under the byte budget.
+	families *lruCache[*family]
 
 	// Counters live in the engine's own metric registry (reg) so each
 	// Engine instance owns its series — tests build many engines per
@@ -166,7 +158,7 @@ type Engine struct {
 // resultShard is one stripe of the Result cache.
 type resultShard struct {
 	mu       sync.Mutex
-	results  *lruCache // fingerprint -> core.Result (value copy)
+	results  *lruCache[core.Result] // fingerprint -> value copy
 	inflight map[string]*inflightCall
 }
 
@@ -181,16 +173,13 @@ type inflightCall struct {
 // maxShards bounds the Result-cache striping.
 const maxShards = 16
 
-// defaultPreparedBytes is the default prepared-model byte budget.
+// defaultPreparedBytes is the default family-store byte budget.
 const defaultPreparedBytes = 256 << 20
 
 // New constructs an Engine.
 func New(opts Options) *Engine {
 	if opts.CacheSize <= 0 {
 		opts.CacheSize = 4096
-	}
-	if opts.PreparedCacheSize <= 0 {
-		opts.PreparedCacheSize = 64
 	}
 	if opts.PreparedCacheBytes == 0 {
 		opts.PreparedCacheBytes = defaultPreparedBytes
@@ -207,14 +196,13 @@ func New(opts Options) *Engine {
 		nShards *= 2
 	}
 	e := &Engine{
-		workers:   opts.Workers,
-		shards:    make([]resultShard, nShards),
-		prepared:  newLRUBytes(opts.PreparedCacheSize, opts.PreparedCacheBytes),
-		anchoring: make(map[string]*anchorCall),
+		workers:  opts.Workers,
+		shards:   make([]resultShard, nShards),
+		families: newLRUBytes[*family](opts.PreparedCacheBytes),
 	}
 	per := (opts.CacheSize + nShards - 1) / nShards
 	for i := range e.shards {
-		e.shards[i] = resultShard{results: newLRU(per), inflight: make(map[string]*inflightCall)}
+		e.shards[i] = resultShard{results: newLRU[core.Result](per), inflight: make(map[string]*inflightCall)}
 	}
 	e.reg = obs.NewRegistry()
 	e.hits = e.reg.Counter("repro_engine_cache_hits_total",
@@ -252,18 +240,18 @@ func New(opts Options) *Engine {
 			return float64(n)
 		})
 	e.reg.GaugeFunc("repro_engine_prepared_entries",
-		"Prepared-model cache entries currently held (a family's pool, its anchor and idle sessions, is one entry).",
+		"Structural families held by the family store, each with its anchor and idle sessions.",
 		func() float64 {
-			e.pmu.Lock()
-			defer e.pmu.Unlock()
-			return float64(e.prepared.len())
+			e.fmu.Lock()
+			defer e.fmu.Unlock()
+			return float64(e.families.len())
 		})
 	e.reg.GaugeFunc("repro_engine_prepared_bytes",
-		"Estimated bytes held by the prepared-model cache, family anchors and idle sessions included.",
+		"Estimated bytes held by the family store: family anchors and idle sessions.",
 		func() float64 {
-			e.pmu.Lock()
-			defer e.pmu.Unlock()
-			return float64(e.prepared.sizeBytes())
+			e.fmu.Lock()
+			defer e.fmu.Unlock()
+			return float64(e.families.sizeBytes())
 		})
 	return e
 }
@@ -318,13 +306,12 @@ func (e *Engine) Cached(cfg core.Config) (*core.Result, bool) {
 	key := Fingerprint(cfg)
 	sh := e.shardFor(key)
 	sh.mu.Lock()
-	v, ok := sh.results.get(key)
+	r, ok := sh.results.get(key)
 	sh.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
 	e.hits.Add(1)
-	r := v.(core.Result)
 	r.Config = cfg
 	return &r, true
 }
@@ -341,10 +328,9 @@ func (e *Engine) JoinInflight(ctx context.Context, cfg core.Config) (res *core.R
 	key := Fingerprint(cfg)
 	sh := e.shardFor(key)
 	sh.mu.Lock()
-	if v, ok := sh.results.get(key); ok {
+	if r, ok := sh.results.get(key); ok {
 		sh.mu.Unlock()
 		e.hits.Add(1)
-		r := v.(core.Result)
 		r.Config = cfg
 		return &r, true, nil
 	}
@@ -385,10 +371,9 @@ func (e *Engine) JoinInflight(ctx context.Context, cfg core.Config) (res *core.R
 func (e *Engine) evalShared(ctx context.Context, key string, cfg core.Config, compute func() (*core.Result, error)) (*core.Result, error) {
 	sh := e.shardFor(key)
 	sh.mu.Lock()
-	if v, ok := sh.results.get(key); ok {
+	if r, ok := sh.results.get(key); ok {
 		sh.mu.Unlock()
 		e.hits.Add(1)
-		r := v.(core.Result)
 		r.Config = cfg // caller's own spelling; no aliasing into the cache
 		return &r, nil
 	}
@@ -461,7 +446,7 @@ func (e *Engine) runEval(sh *resultShard, key string, c *inflightCall, compute f
 	delete(sh.inflight, key)
 	if err == nil {
 		c.res = *res
-		sh.results.add(key, c.res)
+		sh.results.add(key, c.res, 0)
 	}
 	c.err = err
 	sh.mu.Unlock()
@@ -469,24 +454,21 @@ func (e *Engine) runEval(sh *resultShard, key string, c *inflightCall, compute f
 }
 
 // evaluate performs a cache miss, the engine's one patch driver. It
-// patches cfg on a session of its structural family (sessionFor) and
-// re-solves; the session goes back to the pool once Analyze has returned,
-// because the patched Prepared aliases the session's working arrays and
-// the next user may patch only after the Result (a fresh struct) is
-// built. A patched Prepared is never cached. A point the session cannot
-// take — a structural delta or any solve failure — drops the session (its
-// state is suspect) and takes its own full prepare, cached under its
-// fingerprint. The family's first miss has no session to take: it leads
-// the family's anchor prepare, publishing the anchor as soon as
+// patches cfg on a session of its structural family (take) and re-solves;
+// the session goes back to the family once Analyze has returned, because
+// the patched Prepared aliases the session's working arrays and the next
+// user may patch only after the Result (a fresh struct) is built. A point
+// the session cannot take — a structural delta or any solve failure —
+// drops the session (its state is suspect) and takes its own full
+// prepare, uncached. The family's first miss has no session to take: it
+// leads the family's anchor prepare, publishing the anchor as soon as
 // core.Prepare returns so the misses waiting on it clone their sessions
 // while it solves. A leader that fails or panics publishes nothing and
 // still releases its waiters, which then take their own full prepares.
 func (e *Engine) evaluate(key string, cfg core.Config) (*core.Result, error) {
-	family := poolKey(cfg)
-	pd, publish := e.sessionFor(family)
-	if publish != nil {
-		defer publish(nil) // no-op once the anchor is published
-	}
+	fam := core.StructuralKey(cfg)
+	p, pd, publish := e.take(fam, key)
+	defer publish(nil) // no-op once the anchor is published
 	if faultinject.Fire(faultinject.EnginePanic) {
 		panic("faultinject: forced panic inside engine evaluation")
 	}
@@ -494,202 +476,178 @@ func (e *Engine) evaluate(key string, cfg core.Config) (*core.Result, error) {
 		if p, err := pd.Prepared(cfg); err == nil {
 			if res, err := p.Analyze(); err == nil {
 				e.evals.Add(1)
-				e.putSession(family, pd)
+				e.putSession(fam, pd)
 				return res, nil
 			}
 		}
 	}
-	var p *core.Prepared
-	var err error
-	if publish != nil {
-		if p = e.cachedModel(key); p == nil {
-			p, err = core.Prepare(cfg)
+	if p == nil {
+		var err error
+		if p, err = core.Prepare(cfg); err != nil {
+			return nil, err
 		}
-		if err == nil {
-			publish(p)
-		}
-	} else {
-		p, err = e.preparedFor(key, cfg)
-	}
-	if err != nil {
-		return nil, err
+		publish(p)
 	}
 	e.evals.Add(1)
 	return p.Analyze()
 }
 
-// sessionPool is one structural family's entry in the prepared LRU, under
-// the family's poolKey: the family's anchor — the first full prepare of
-// one of its points — and up to e.workers idle sessions cloned from it. It
-// is charged at the anchor's and the sessions' summed estimates, so both
-// sit under the same byte budget as the cached models and an eviction
-// drops them. A session is in the pool only while idle: sessionFor
-// removes it, so no two goroutines ever share one.
-type sessionPool struct {
+// family is one structural family's entry in the family store: its
+// anchor — the first full prepare of one of its points — and up to
+// e.workers idle sessions cloned from it, charged at their summed
+// estimates, so an eviction drops both and the family's next miss anchors
+// afresh. A family enters the store when its first miss starts the
+// anchor prepare; until that prepare publishes, anchoring is open and the
+// family's other misses wait on it. A session is in idle only while idle:
+// take removes it, so no two goroutines ever share one.
+type family struct {
 	anchor *core.Prepared
+	// anchorKey is the anchor's Fingerprint: a miss or a Prepared call of
+	// that very point works from the anchor itself.
+	anchorKey string
 	// anchorBytes is anchor.SizeBytes() less its SessionBytes(), taken
 	// once when the anchor is published: the estimate walks the chain's
-	// pattern, and the pool is re-charged on every take and return. The
+	// pattern, and the family is re-charged on every take and return. The
 	// state the sessions share is built by the first of them, after the
 	// publish, so it is read afresh at every charge.
 	anchorBytes int64
 	idle        []*core.PreparedDelta
+	// anchoring is the in-flight anchor prepare, closed when it publishes
+	// and nil from then on.
+	anchoring chan struct{}
 }
 
-func (sp *sessionPool) sizeBytes() int64 {
-	n := sp.anchorBytes
-	if sp.anchor != nil { // a pool re-created by putSession after an eviction
-		n += sp.anchor.SessionBytes()
-	}
-	for _, pd := range sp.idle {
+// sizeBytes is an anchored family's charge against the byte budget.
+func (f *family) sizeBytes() int64 {
+	n := f.anchorBytes + f.anchor.SessionBytes()
+	for _, pd := range f.idle {
 		n += pd.SizeBytes()
 	}
 	return n
 }
 
-// anchorCall is a family's in-flight anchor prepare. Misses of the family
-// that find no anchor wait on done and clone from anchor, which stays nil
-// when the leader failed.
-type anchorCall struct {
-	done   chan struct{}
-	anchor *core.Prepared
-}
+// noPublish is the publish function of a caller that leads no anchor
+// prepare.
+func noPublish(*core.Prepared) {}
 
-// poolKey is the prepared-LRU key of cfg's structural family pool. The
-// prefix cannot begin a Fingerprint, so pools and models never collide.
-func poolKey(cfg core.Config) string { return "pool|" + core.StructuralKey(cfg) }
-
-// sessionFor returns a session of the family to patch a miss on: an idle
-// one from the pool, else a fresh clone of the family's anchor. A family
-// with no anchor yet has at most one anchor prepare in flight: a miss that
-// finds one waits for it and clones from what it publishes, and a miss
-// that finds none becomes the leader. The leader gets no session but a
-// publish function it must call (deferred, so a panic cannot wedge the
-// waiters): publish(p) makes p the anchor and releases the waiters, and
-// publish(nil) releases them with nothing to clone; only the first call
-// takes effect. A nil session with a nil publish means the caller takes
-// its own full prepare.
-func (e *Engine) sessionFor(family string) (*core.PreparedDelta, func(*core.Prepared)) {
-	e.pmu.Lock()
-	var anchor *core.Prepared
-	if v, ok := e.prepared.get(family); ok {
-		sp := v.(*sessionPool)
-		if n := len(sp.idle); n > 0 {
-			pd := sp.idle[n-1]
-			sp.idle[n-1] = nil
-			sp.idle = sp.idle[:n-1]
-			e.prepared.addSized(family, sp, sp.sizeBytes())
-			e.pmu.Unlock()
-			return pd, nil
-		}
-		anchor = sp.anchor
+// take hands a miss or a Prepared call of the point key in family fam
+// what it works from: the family's anchor p when key is the anchor's own
+// point, else a session pd the caller now owns — an idle one of the
+// family, or a fresh clone of its anchor. A family with no anchor yet has
+// at most one anchor prepare in flight: a caller that finds one waits for
+// it and clones from what it publishes, and a caller that finds none
+// becomes the leader. The leader gets neither, but a publish function it
+// must call (deferred, so a panic cannot wedge the waiters): publish(p)
+// makes p the anchor and releases the waiters, and publish(nil) releases
+// them with nothing to clone; only the first call takes effect. Every
+// other caller gets noPublish. A caller given neither p nor pd takes its
+// own full prepare.
+func (e *Engine) take(fam, key string) (*core.Prepared, *core.PreparedDelta, func(*core.Prepared)) {
+	e.fmu.Lock()
+	f, ok := e.families.get(fam)
+	if !ok {
+		f = &family{anchoring: make(chan struct{})}
+		e.families.add(fam, f, 0)
+		e.fmu.Unlock()
+		return nil, nil, func(p *core.Prepared) { e.publish(fam, key, f, p) }
 	}
-	call, inFlight := e.anchoring[family]
+	if f.anchor != nil && f.anchorKey == key {
+		e.fmu.Unlock()
+		return f.anchor, nil, noPublish
+	}
+	if n := len(f.idle); n > 0 {
+		pd := f.idle[n-1]
+		f.idle[n-1] = nil
+		f.idle = f.idle[:n-1]
+		e.families.add(fam, f, f.sizeBytes())
+		e.fmu.Unlock()
+		return nil, pd, noPublish
+	}
+	anchoring := f.anchoring
+	e.fmu.Unlock()
+	if anchoring != nil {
+		<-anchoring // publish wrote f.anchor and f.anchorKey before closing it
+	}
 	switch {
-	case anchor != nil:
-		e.pmu.Unlock()
-	case inFlight:
-		e.pmu.Unlock()
-		<-call.done
-		if anchor = call.anchor; anchor == nil {
-			return nil, nil
-		}
-	default:
-		call = &anchorCall{done: make(chan struct{})}
-		e.anchoring[family] = call
-		e.pmu.Unlock()
-		return nil, func(p *core.Prepared) { e.publishAnchor(family, call, p) }
+	case f.anchor == nil:
+		return nil, nil, noPublish
+	case f.anchorKey == key:
+		return f.anchor, nil, noPublish
 	}
-	pd, err := core.NewPreparedDelta(anchor)
+	pd, err := core.NewPreparedDelta(f.anchor)
 	if err != nil {
-		return nil, nil // the miss takes its own full prepare
+		return nil, nil, noPublish // the caller takes its own full prepare
 	}
-	return pd, nil
+	return nil, pd, noPublish
 }
 
-// publishAnchor ends the family's in-flight anchor prepare: a non-nil p
-// becomes the pool's anchor, and every waiter is released. Only the first
-// call for a given call takes effect.
-func (e *Engine) publishAnchor(family string, call *anchorCall, p *core.Prepared) {
+// publish ends f's in-flight anchor prepare: a non-nil p, prepared for
+// the point key, becomes the anchor, and every waiter is released. A
+// leader that publishes nothing leaves no family behind. Only the first
+// call takes effect.
+func (e *Engine) publish(fam, key string, f *family, p *core.Prepared) {
 	var size int64
 	if p != nil {
 		size = p.SizeBytes() - p.SessionBytes()
 	}
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
-	select {
-	case <-call.done:
+	e.fmu.Lock()
+	defer e.fmu.Unlock()
+	if f.anchoring == nil {
 		return
-	default:
 	}
-	delete(e.anchoring, family)
 	if p != nil {
-		sp := &sessionPool{}
-		if v, ok := e.prepared.get(family); ok {
-			sp = v.(*sessionPool)
-		}
-		sp.anchor, sp.anchorBytes = p, size
-		e.prepared.addSized(family, sp, sp.sizeBytes())
+		f.anchor, f.anchorKey, f.anchorBytes = p, key, size
+		e.families.add(fam, f, f.sizeBytes())
+	} else if cur, ok := e.families.get(fam); ok && cur == f {
+		e.families.drop(fam)
 	}
-	call.anchor = p
-	close(call.done)
+	close(f.anchoring)
+	f.anchoring = nil
 }
 
-// putSession returns an idle session to its family's pool, which keeps at
-// most e.workers sessions: one per concurrent miss the batch pool can
-// issue. A session the pool has no room for is dropped.
-func (e *Engine) putSession(family string, pd *core.PreparedDelta) {
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
-	sp := &sessionPool{}
-	if v, ok := e.prepared.get(family); ok {
-		sp = v.(*sessionPool)
+// putSession returns an idle session to its family, which keeps at most
+// e.workers sessions: one per concurrent miss the batch pool can issue. A
+// session the family has no room for, or whose family was evicted, is
+// dropped.
+func (e *Engine) putSession(fam string, pd *core.PreparedDelta) {
+	e.fmu.Lock()
+	defer e.fmu.Unlock()
+	if f, ok := e.families.get(fam); ok && f.anchor != nil && len(f.idle) < e.workers {
+		f.idle = append(f.idle, pd)
+		e.families.add(fam, f, f.sizeBytes())
 	}
-	if len(sp.idle) >= e.workers {
-		return
-	}
-	sp.idle = append(sp.idle, pd)
-	e.prepared.addSized(family, sp, sp.sizeBytes())
 }
 
-// cachedModel returns the full prepared model cached under key, or nil.
-func (e *Engine) cachedModel(key string) *core.Prepared {
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
-	if v, ok := e.prepared.get(key); ok {
-		return v.(*core.Prepared)
-	}
-	return nil
-}
-
-// preparedFor returns the cached prepared model for key, building and
-// caching it when absent. Callers racing on the same key are already
-// serialized by the in-flight map in Eval; Prepared and Survival callers
-// may rarely build a duplicate, which is correct (just not free).
-func (e *Engine) preparedFor(key string, cfg core.Config) (*core.Prepared, error) {
-	if p := e.cachedModel(key); p != nil {
+// Prepared returns cfg's fully built evaluation state, for callers that
+// need graph-level access. It works from cfg's structural family exactly
+// as a miss does, so a family explores once however many of its points
+// are asked for: the family's anchor when cfg is the anchor's own point,
+// else a session patched to cfg and never returned to the family, so the
+// Prepared stays the caller's alone and unchanged. A family with no
+// anchor yet has cfg's full prepare published as its anchor; a point the
+// session cannot take gets its own full prepare. No other Prepared is
+// cached.
+func (e *Engine) Prepared(cfg core.Config) (*core.Prepared, error) {
+	p, pd, publish := e.take(core.StructuralKey(cfg), Fingerprint(cfg))
+	defer publish(nil)
+	if p != nil {
 		return p, nil
 	}
-	p, err := core.Prepare(cfg)
-	if err != nil {
-		return nil, err
+	if pd != nil {
+		if p, err := pd.Prepared(cfg); err == nil {
+			return p, nil
+		}
 	}
-	e.pmu.Lock()
-	e.prepared.addSized(key, p, p.SizeBytes())
-	e.pmu.Unlock()
-	return p, nil
-}
-
-// Prepared returns the (cached) fully built evaluation state for a
-// configuration, for callers that need graph-level access. It is always a
-// full prepare of cfg itself, never a patched session's working state.
-func (e *Engine) Prepared(cfg core.Config) (*core.Prepared, error) {
-	return e.preparedFor(Fingerprint(cfg), cfg)
+	p, err := core.Prepare(cfg)
+	if err == nil {
+		publish(p)
+	}
+	return p, err
 }
 
 // EvalWith evaluates cfg through the result cache and in-flight dedup like
 // Eval, but a miss calls the caller's prepare — its own build (and solve)
-// of cfg — instead of the family pool, and records the fresh Result so
+// of cfg — instead of the family store, and records the fresh Result so
 // later Evals of the same point are ordinary hits. The bench harness's
 // traced path uses it to time each stage of a full prepare.
 func (e *Engine) EvalWith(cfg core.Config, prepare func() (*core.Prepared, error)) (*core.Result, error) {
@@ -731,8 +689,8 @@ func (e *Engine) EvalBatchContext(ctx context.Context, cfgs []core.Config) ([]*c
 // sweeps fan out under the same bound as EvalBatch.
 func (e *Engine) WorkerBound() int { return e.workers }
 
-// Survival estimates the survival function with reps exact CTMC samples,
-// reusing the cached reachability graph for the configuration.
+// Survival estimates the survival function with reps exact CTMC samples
+// over the Prepared that Prepared returns for the configuration.
 func (e *Engine) Survival(cfg core.Config, reps int, seed int64) (*core.SurvivalCurve, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("engine: need at least 1 replication")
@@ -746,8 +704,8 @@ func (e *Engine) Survival(cfg core.Config, reps int, seed int64) (*core.Survival
 
 // AssureMission evaluates P(survive missionTime) across a TIDS grid with
 // reps samples per point — the same grid search as core.AssureMission
-// (shared via core.AssureMissionWith), but sampling over the engine's
-// cached reachability graphs.
+// (shared via core.AssureMissionWith), but sampling through Survival, so
+// the grid explores its family once.
 func (e *Engine) AssureMission(cfg core.Config, grid []float64, missionTime float64, reps int, seed int64) (*core.MissionAssurance, error) {
 	return core.AssureMissionWith(cfg, grid, missionTime, reps, seed, e.Survival)
 }
@@ -766,10 +724,10 @@ func (e *Engine) Stats() Stats {
 		s.Entries += sh.results.len()
 		sh.mu.Unlock()
 	}
-	e.pmu.Lock()
-	s.PreparedEntries = e.prepared.len()
-	s.PreparedBytes = e.prepared.sizeBytes()
-	e.pmu.Unlock()
+	e.fmu.Lock()
+	s.PreparedEntries = e.families.len()
+	s.PreparedBytes = e.families.sizeBytes()
+	e.fmu.Unlock()
 	s.PanicsRecovered = e.panicsRecovered.Value()
 	s.NonFiniteRejected = e.nonFiniteRejected.Value()
 	s.SolverFallbacks = ctmc.Fallbacks()
@@ -782,9 +740,9 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Reset empties both caches, family pools included, and zeroes the
+// Reset empties the Result cache and the family store and zeroes the
 // counters (test support). An anchor prepare in flight still publishes
-// into the emptied cache when it finishes.
+// into the emptied store when it finishes.
 func (e *Engine) Reset() {
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -792,9 +750,9 @@ func (e *Engine) Reset() {
 		sh.results.reset()
 		sh.mu.Unlock()
 	}
-	e.pmu.Lock()
-	e.prepared.reset()
-	e.pmu.Unlock()
+	e.fmu.Lock()
+	e.families.reset()
+	e.fmu.Unlock()
 	e.hits.Reset()
 	e.misses.Reset()
 	e.evals.Reset()

@@ -386,10 +386,10 @@ func TestPreparedReuse(t *testing.T) {
 	}
 }
 
-// TestWarmSweepPopulatesResultCache pins that warm-start sweeps feed the
-// engine's result cache through EvalPrepared: the points a warm chain
-// computes must later be served as ordinary hits even if the prepared
-// LRU has evicted their graphs.
+// TestWarmSweepPopulatesResultCache pins that a sweep under the legacy
+// WarmStart option, which selects nothing any more, still feeds the
+// engine's Result cache through Eval: the points it computes are later
+// served as ordinary hits, whatever the family store holds.
 func TestWarmSweepPopulatesResultCache(t *testing.T) {
 	e := New(Options{})
 	prev := core.SetDefaultEvaluator(e)
@@ -420,7 +420,7 @@ func TestWarmSweepPopulatesResultCache(t *testing.T) {
 	}
 
 	// A repeat warm sweep over cached points rebuilds and re-solves
-	// nothing: EvalWith consults the result cache before preparing.
+	// nothing: every point is a Result-cache hit.
 	solves := ctmc.SolveCount()
 	if _, err := core.SweepTIDSOpts(cfg, grid, core.SweepOpts{WarmStart: true}); err != nil {
 		t.Fatal(err)

@@ -64,12 +64,13 @@ func analyzeAll(t *testing.T, cfgs []core.Config) []*core.Result {
 	return want
 }
 
-// familyPool returns the pool entry of cfg's structural family, or nil.
-func familyPool(e *Engine, cfg core.Config) *sessionPool {
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
-	if v, ok := e.prepared.get(poolKey(cfg)); ok {
-		return v.(*sessionPool)
+// familyPool returns the family-store entry of cfg's structural family,
+// or nil.
+func familyPool(e *Engine, cfg core.Config) *family {
+	e.fmu.Lock()
+	defer e.fmu.Unlock()
+	if f, ok := e.families.get(core.StructuralKey(cfg)); ok {
+		return f
 	}
 	return nil
 }
@@ -120,17 +121,17 @@ func TestPooledMissesMatchAnalyze(t *testing.T) {
 }
 
 // TestPooledMissesShareAnchors runs concurrent batches across families on
-// one engine while other goroutines analyse, count and sample the cached
-// anchors the pooled sessions are cloned from. Run it under -race: a
-// session is never shared while in use, never writes into the anchor, and
-// goes back to the pool only after its point's Result is built.
+// one engine while other goroutines analyse, count and sample the family
+// anchors the sessions are cloned from. Run it under -race: a session is
+// never shared while in use, never writes into the anchor, and goes back
+// to its family only after its point's Result is built.
 func TestPooledMissesShareAnchors(t *testing.T) {
 	cfgs := missGrid(2)
 	want := analyzeAll(t, cfgs)
 	e := New(Options{Workers: 4})
 
-	// Cache one model per family; each family's first miss then anchors
-	// its pool on that cached model.
+	// Anchor each family on its first point through Prepared; that point's
+	// miss then analyses the anchor itself.
 	anchors := make(map[string]*core.Prepared)
 	var seed []core.Config
 	for _, c := range cfgs {
@@ -249,17 +250,118 @@ func TestMissesPatchFromPool(t *testing.T) {
 	if patched != evals-families {
 		t.Errorf("%d of %d evals patched, want %d", patched, evals, evals-families)
 	}
-	// Patched models are never cached: the prepared LRU holds one pool
+	// Patched models are never cached: the family store holds one entry
 	// per family, the anchor inside it.
 	if st := e.Stats(); st.PreparedEntries != families {
 		t.Errorf("%d prepared entries, want %d", st.PreparedEntries, families)
 	}
 }
 
-// TestResetEmptiesSessionPool pins the pool's life cycle: the first miss
-// publishes the family's anchor and clones no session, the second clones
-// one and returns it idle, and Reset drops the pool with the rest of the
-// prepared cache, so the next miss explores again.
+// TestPreparedPatchesFromFamily pins that Engine.Prepared, behind
+// Survival, ExpectedCounts and AssureMission, works from the family store
+// as a miss does. After one Eval, four family-mates at other TIDS and m
+// explore nothing and cache nothing. Each private patched Prepared answers
+// bit for bit what its own full prepare does, and keeps answering it while
+// and after more misses of the family patch other sessions. Run it under
+// -race: callers sample their Prepared while those misses run.
+func TestPreparedPatchesFromFamily(t *testing.T) {
+	base := core.DefaultConfig()
+	base.N = 20
+	base.Solver = ctmc.BackendAuto
+	e := New(Options{Workers: 2})
+	if _, err := e.Eval(base); err != nil {
+		t.Fatal(err)
+	}
+	mates := make([]core.Config, 4)
+	for i := range mates {
+		mates[i] = base
+		mates[i].TIDS = base.TIDS * float64(i+2)
+		mates[i].M = []int{3, 5, 7, 9}[i]
+	}
+	explored := exploreCalls()
+	got := make([]*core.Prepared, len(mates))
+	for i, c := range mates {
+		p, err := e.Prepared(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = p
+	}
+	if n := exploreCalls() - explored; obs.Armed() && n != 0 {
+		t.Errorf("%d explores for %d family-mates of an evaluated point, want 0", n, len(mates))
+	}
+	if st := e.Stats(); st.PreparedEntries != 1 {
+		t.Errorf("%d prepared entries, want the family alone", st.PreparedEntries)
+	}
+
+	const reps, seed = 200, 11
+	want := make([]*core.Prepared, len(mates))
+	for i, c := range mates {
+		p, err := core.Prepare(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = p
+	}
+	// same checks got[i] against its full prepare; Analyze memoizes, so it
+	// is first called once the family's other misses have patched.
+	same := func(label string, i int, analyze bool) {
+		if analyze {
+			g, err := got[i].Analyze()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if w, _ := want[i].Analyze(); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s, mate %d: Analyze %+v, full prepare %+v", label, i, g, w)
+			}
+		}
+		g, err := got[i].ExpectedCounts()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if w, _ := want[i].ExpectedCounts(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s, mate %d: ExpectedCounts %+v, full prepare %+v", label, i, g, w)
+		}
+		gs, err := got[i].Survival(reps, seed)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if ws, _ := want[i].Survival(reps, seed); !reflect.DeepEqual(gs, ws) {
+			t.Errorf("%s, mate %d: Survival samples differ from the full prepare's", label, i)
+		}
+	}
+	more := make([]core.Config, 8)
+	for i := range more {
+		more[i] = base
+		more[i].TIDS = base.TIDS / float64(i+2)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1 + len(mates))
+	go func() {
+		defer wg.Done()
+		if _, err := e.EvalBatch(more); err != nil {
+			t.Error(err)
+		}
+	}()
+	for i := range mates {
+		go func(i int) {
+			defer wg.Done()
+			same("during the family's misses", i, false)
+		}(i)
+	}
+	wg.Wait()
+	for i := range mates {
+		same("after the family's misses", i, true)
+	}
+}
+
+// TestResetEmptiesSessionPool pins a family's life cycle in the store: the
+// first miss publishes the family's anchor and clones no session, the
+// second clones one and returns it idle, and Reset drops the family with
+// the rest of the store, so the next miss explores again.
 func TestResetEmptiesSessionPool(t *testing.T) {
 	cfgs := clusterStylePoints(8, 3)
 	cfgs[1], cfgs[2] = cfgs[0], cfgs[0]
@@ -270,20 +372,20 @@ func TestResetEmptiesSessionPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sp := familyPool(e, cfgs[0]); sp == nil || sp.anchor == nil || len(sp.idle) != 0 {
-		t.Fatalf("after the first miss: pool %+v, want an anchor and no idle session", sp)
+		t.Fatalf("after the first miss: family %+v, want an anchor and no idle session", sp)
 	}
 	if _, err := e.Eval(cfgs[1]); err != nil {
 		t.Fatal(err)
 	}
 	if sp := familyPool(e, cfgs[0]); sp == nil || sp.anchor == nil || len(sp.idle) != 1 {
-		t.Fatalf("after the second miss: pool %+v, want an anchor and one idle session", sp)
+		t.Fatalf("after the second miss: family %+v, want an anchor and one idle session", sp)
 	}
 	e.Reset()
 	if sp := familyPool(e, cfgs[0]); sp != nil {
-		t.Errorf("pool survived Reset: %+v", sp)
+		t.Errorf("family survived Reset: %+v", sp)
 	}
 	if st := e.Stats(); st.PreparedEntries != 0 || st.PreparedBytes != 0 {
-		t.Errorf("prepared cache after Reset: %d entries, %d bytes", st.PreparedEntries, st.PreparedBytes)
+		t.Errorf("family store after Reset: %d entries, %d bytes", st.PreparedEntries, st.PreparedBytes)
 	}
 	patched := ctmc.PatchedSolves()
 	if _, err := e.Eval(cfgs[2]); err != nil {
@@ -295,8 +397,8 @@ func TestResetEmptiesSessionPool(t *testing.T) {
 }
 
 // TestIdleSessionsChargedToBudget pins that a family's anchor and idle
-// sessions count against the prepared-cache byte budget, and that a
-// budget too small for the anchor keeps no pool: every miss then takes
+// sessions count against the family store's byte budget, and that a
+// budget too small for the anchor keeps no family: every miss then takes
 // the full path.
 func TestIdleSessionsChargedToBudget(t *testing.T) {
 	cfgs := clusterStylePoints(9, 2)
@@ -310,11 +412,11 @@ func TestIdleSessionsChargedToBudget(t *testing.T) {
 	}
 	sp := familyPool(e, cfgs[0])
 	if sp == nil || sp.anchor == nil || len(sp.idle) != 1 {
-		t.Fatalf("after two misses: pool %+v, want an anchor and one idle session", sp)
+		t.Fatalf("after two misses: family %+v, want an anchor and one idle session", sp)
 	}
 	size := sp.anchor.SizeBytes() + sp.idle[0].SizeBytes()
 	if st := e.Stats(); st.PreparedEntries != 1 || st.PreparedBytes != size {
-		t.Errorf("after two misses: %d entries, %d bytes; want the pool alone at %d bytes",
+		t.Errorf("after two misses: %d entries, %d bytes; want the family alone at %d bytes",
 			st.PreparedEntries, st.PreparedBytes, size)
 	}
 
@@ -331,7 +433,7 @@ func TestIdleSessionsChargedToBudget(t *testing.T) {
 		t.Errorf("%d patched solves under a budget no anchor fits, want 0", n)
 	}
 	if sp := familyPool(tight, cfgs[0]); sp != nil {
-		t.Errorf("pool kept over budget: %+v", sp)
+		t.Errorf("family kept over budget: %+v", sp)
 	}
 }
 
@@ -424,9 +526,15 @@ func TestColdMissesJoinOneAnchor(t *testing.T) {
 		}
 	}
 	inFlight := func(e *Engine) int {
-		e.pmu.Lock()
-		defer e.pmu.Unlock()
-		return len(e.anchoring)
+		e.fmu.Lock()
+		defer e.fmu.Unlock()
+		n := 0
+		e.families.each(func(_ string, f *family) {
+			if f.anchoring != nil {
+				n++
+			}
+		})
+		return n
 	}
 	// evalEach evaluates every point concurrently, keeping per-point errors.
 	evalEach := func(e *Engine, cfgs []core.Config) ([]*core.Result, []error) {

@@ -48,9 +48,9 @@ func (e *Engine) SnapshotEntriesMatching(keep func(key string) bool) []SnapshotE
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		sh.results.each(func(key string, value any) {
+		sh.results.each(func(key string, value core.Result) {
 			if keep == nil || keep(key) {
-				out = append(out, SnapshotEntry{Key: key, Result: value.(core.Result)})
+				out = append(out, SnapshotEntry{Key: key, Result: value})
 			}
 		})
 		sh.mu.Unlock()
@@ -90,7 +90,7 @@ func (e *Engine) RestoreEntries(entries []SnapshotEntry) int {
 		sh := e.shardFor(entry.Key)
 		sh.mu.Lock()
 		if _, ok := sh.results.get(entry.Key); !ok {
-			sh.results.add(entry.Key, entry.Result)
+			sh.results.add(entry.Key, entry.Result, 0)
 			admitted++
 		}
 		sh.mu.Unlock()

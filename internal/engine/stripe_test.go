@@ -78,57 +78,51 @@ func TestStripedCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestPreparedByteBudget pins the byte-budgeted prepared LRU: with a
-// budget sized for one model, caching a second evicts the first even
-// though the entry cap is far from reached.
+// TestPreparedByteBudget pins the family store's byte budget: with a
+// budget that holds either of two families' anchors but not both, the
+// second family evicts the first, and an anchor larger than the whole
+// budget is not admitted.
 func TestPreparedByteBudget(t *testing.T) {
-	p, err := core.Prepare(stripeConfig(60))
-	if err != nil {
-		t.Fatal(err)
+	a, b := stripeConfig(60), stripeConfig(60)
+	b.N = 7
+	var sizes [2]int64
+	for i, c := range []core.Config{a, b} {
+		p, err := core.Prepare(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sizes[i] = p.SizeBytes(); sizes[i] <= 0 {
+			t.Fatalf("SizeBytes = %d, want > 0", sizes[i])
+		}
 	}
-	size := p.SizeBytes()
-	if size <= 0 {
-		t.Fatalf("SizeBytes = %d, want > 0", size)
-	}
+	budget := sizes[0] + sizes[1] - 1
 
-	e := New(Options{PreparedCacheBytes: size + size/2})
-	if _, err := e.Prepared(stripeConfig(60)); err != nil {
+	e := New(Options{PreparedCacheBytes: budget})
+	if _, err := e.Prepared(a); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.PreparedEntries != 1 || st.PreparedBytes <= 0 {
-		t.Fatalf("after first prepare: %d entries / %d bytes", st.PreparedEntries, st.PreparedBytes)
+	if st.PreparedEntries != 1 || st.PreparedBytes != sizes[0] {
+		t.Fatalf("after the first family: %d entries / %d bytes, want 1 / %d", st.PreparedEntries, st.PreparedBytes, sizes[0])
 	}
-	if _, err := e.Prepared(stripeConfig(120)); err != nil {
+	if _, err := e.Prepared(b); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()
-	if st.PreparedEntries != 1 {
-		t.Fatalf("after second prepare: %d entries, want 1 (byte budget must evict)", st.PreparedEntries)
+	if st.PreparedEntries != 1 || familyPool(e, a) != nil {
+		t.Fatalf("after the second family: %d entries, want 1 (byte budget must evict the first)", st.PreparedEntries)
 	}
-	if st.PreparedBytes > size+size/2 {
-		t.Fatalf("PreparedBytes %d exceeds budget %d", st.PreparedBytes, size+size/2)
+	if st.PreparedBytes > budget {
+		t.Fatalf("PreparedBytes %d exceeds budget %d", st.PreparedBytes, budget)
 	}
 
-	// An entry larger than the whole budget is rejected outright instead
-	// of flushing the rest of the cache on its way through.
-	e3 := New(Options{PreparedCacheBytes: size / 2})
-	if _, err := e3.Prepared(stripeConfig(60)); err != nil {
+	// An anchor larger than the whole budget is rejected outright instead
+	// of flushing the rest of the store on its way through.
+	e3 := New(Options{PreparedCacheBytes: sizes[0] / 2})
+	if _, err := e3.Prepared(a); err != nil {
 		t.Fatal(err)
 	}
 	if st := e3.Stats(); st.PreparedEntries != 0 || st.PreparedBytes != 0 {
-		t.Fatalf("oversize entry admitted: %d entries / %d bytes", st.PreparedEntries, st.PreparedBytes)
-	}
-
-	// The entry cap still applies as the secondary bound.
-	e2 := New(Options{PreparedCacheSize: 1, PreparedCacheBytes: -1})
-	if _, err := e2.Prepared(stripeConfig(60)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.Prepared(stripeConfig(120)); err != nil {
-		t.Fatal(err)
-	}
-	if st := e2.Stats(); st.PreparedEntries != 1 {
-		t.Fatalf("entry cap ignored: %d entries", st.PreparedEntries)
+		t.Fatalf("oversize family admitted: %d entries / %d bytes", st.PreparedEntries, st.PreparedBytes)
 	}
 }

@@ -187,8 +187,8 @@ func TestSweepsMatchPerPointAnalyze(t *testing.T) {
 }
 
 // TestConcurrentSweepsShareAnchors runs several sweeps and a batch at once
-// on one engine while other goroutines analyse the engine-cached Prepared
-// the family's pool anchors on. Run it under -race: a session must never
+// on one engine while other goroutines analyse the Prepared the family is
+// anchored on. Run it under -race: a session must never
 // write into a Prepared the engine shares, and every answer must still
 // equal a full prepare per point.
 func TestConcurrentSweepsShareAnchors(t *testing.T) {
@@ -198,8 +198,8 @@ func TestConcurrentSweepsShareAnchors(t *testing.T) {
 	prev := core.SetDefaultEvaluator(e)
 	defer core.SetDefaultEvaluator(prev)
 
-	// Every grid shares one family, whose first miss (TIDS=5) anchors the
-	// pool on the engine-cached Prepared: every session is cloned from it.
+	// Every grid shares one family, anchored on the Prepared of its first
+	// point (TIDS=5): every session is cloned from it.
 	const sweeps = 4
 	grids := make([][]float64, sweeps)
 	for g := range grids {
@@ -216,7 +216,7 @@ func TestConcurrentSweepsShareAnchors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sp := familyPool(e, anchorCfg); sp == nil || sp.anchor != anchor {
-		t.Fatal("the family's first miss did not anchor its pool on the cached Prepared")
+		t.Fatal("the family is not anchored on the Prepared of its first point")
 	}
 	wantAnchor, err := core.Analyze(anchorCfg)
 	if err != nil {
