@@ -59,14 +59,6 @@ type Result = core.Result
 // SweepPoint pairs a TIDS value with its evaluation.
 type SweepPoint = core.SweepPoint
 
-// SweepOpts is the legacy options struct of the grid sweeps. Its fields no
-// longer select anything: every sweep takes the engine's patched miss
-// path.
-//
-// Deprecated: call SweepTIDS/ExploreDesignSpace/TradeoffFrontier with
-// functional options (WithContext) instead.
-type SweepOpts = core.SweepOpts
-
 // SweepOption configures a grid driver (SweepTIDS, ExploreDesignSpace,
 // TradeoffFrontier). Every driver fans its points over the default engine
 // whatever the options; only WithContext changes behaviour.
@@ -306,13 +298,6 @@ func SweepTIDS(cfg Config, grid []float64, opts ...SweepOption) ([]SweepPoint, e
 	return core.SweepTIDS(cfg, grid, opts...)
 }
 
-// SweepTIDSOpts is SweepTIDS with the legacy options struct.
-//
-// Deprecated: use SweepTIDS (with WithContext to make it cancelable).
-func SweepTIDSOpts(cfg Config, grid []float64, opts SweepOpts) ([]SweepPoint, error) {
-	return core.SweepTIDSOpts(cfg, grid, opts)
-}
-
 // OptimalTIDSForMTTSF finds the grid point maximizing MTTSF.
 func OptimalTIDSForMTTSF(cfg Config, grid []float64) (*Optimum, error) {
 	return core.OptimalTIDSForMTTSF(cfg, grid)
@@ -371,15 +356,6 @@ func TradeoffFrontier(cfg Config, space DesignSpace, opts ...SweepOption) ([]Des
 // patched engine misses as SweepTIDS. It accepts the same options.
 func ExploreDesignSpace(cfg Config, space DesignSpace, opts ...SweepOption) ([]DesignPoint, error) {
 	return core.ExploreDesignSpace(cfg, space, opts...)
-}
-
-// ExploreDesignSpaceOpts is ExploreDesignSpace with the legacy options
-// struct.
-//
-// Deprecated: use ExploreDesignSpace (with WithContext to make it
-// cancelable).
-func ExploreDesignSpaceOpts(cfg Config, space DesignSpace, opts SweepOpts) ([]DesignPoint, error) {
-	return core.ExploreDesignSpaceOpts(cfg, space, opts)
 }
 
 // ParetoFrontier filters points down to the non-dominated set (maximize

@@ -259,14 +259,6 @@ func TestPublicSweepOptions(t *testing.T) {
 			}
 		}
 	}
-	// The deprecated struct form still works and agrees.
-	legacy, err := SweepTIDSOpts(apiConfig(), grid, SweepOpts{WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy) != len(plain) {
-		t.Fatalf("legacy sweep returned %d points", len(legacy))
-	}
 	// A canceled context stops the sweep at the next point boundary.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -50,7 +50,7 @@ func main() {
 	fmt.Printf("  mean hops:      %.3f\n", gd.MeanHops)
 	fmt.Printf("  mean degree:    %.2f\n", gd.MeanDegree)
 	fmt.Println()
-	fmt.Println("patch these into repro.Config via repro.ApplyDynamics, e.g.")
+	fmt.Println("patch these into repro.Config via repro.ApplyDynamicsChecked, e.g.")
 	fmt.Printf("  cfg.PartitionRate = %.4g\n", gd.PartitionRate)
 	fmt.Printf("  cfg.MergeRate     = %.4g\n", gd.MergeRate)
 	fmt.Printf("  cfg.MeanHops      = %.3f\n", gd.MeanHops)

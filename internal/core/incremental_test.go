@@ -240,8 +240,8 @@ func TestPreparedDeltaStructuralFallback(t *testing.T) {
 	}
 }
 
-// TestIncrementalSweepMatchesCold pins the SweepOpts seam end to end: an
-// incremental sweep returns the same metrics as an independent cold sweep.
+// TestIncrementalSweepMatchesCold pins the WithIncremental spelling end to
+// end: an incremental sweep returns the same metrics as an independent cold sweep.
 func TestIncrementalSweepMatchesCold(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N = 10
@@ -250,7 +250,7 @@ func TestIncrementalSweepMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := SweepTIDSOpts(cfg, grid, SweepOpts{Incremental: true})
+	inc, err := SweepTIDS(cfg, grid, WithIncremental())
 	if err != nil {
 		t.Fatal(err)
 	}

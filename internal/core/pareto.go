@@ -98,13 +98,6 @@ func ExploreDesignSpace(cfg Config, space DesignSpace, opts ...SweepOption) ([]D
 	return points, nil
 }
 
-// ExploreDesignSpaceOpts is ExploreDesignSpace with an explicit options
-// struct, kept for callers predating the functional options. It behaves
-// exactly like ExploreDesignSpace.
-func ExploreDesignSpaceOpts(cfg Config, space DesignSpace, _ SweepOpts) ([]DesignPoint, error) {
-	return ExploreDesignSpace(cfg, space)
-}
-
 // ParetoFrontier filters a design-point set down to its non-dominated
 // members, sorted by ascending Ĉtotal (and therefore ascending MTTSF: on
 // the frontier, paying more traffic must buy more survival). It is the

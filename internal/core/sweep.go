@@ -51,26 +51,6 @@ func SweepTIDS(cfg Config, grid []float64, opts ...SweepOption) ([]SweepPoint, e
 	return points, nil
 }
 
-// SweepOpts is the legacy options struct of SweepTIDSOpts and
-// ExploreDesignSpaceOpts. Neither field selects anything any more; both
-// are kept so existing callers compile.
-type SweepOpts struct {
-	// WarmStart once chained the grid points through a warm-started,
-	// sequential solver session. It has no effect.
-	WarmStart bool
-	// Incremental once routed the grid points through the sequential
-	// patch+re-solve path, which the memoizing engine now takes for every
-	// miss. It has no effect.
-	Incremental bool
-}
-
-// SweepTIDSOpts is SweepTIDS with an explicit options struct, kept for
-// callers predating the functional options. It behaves exactly like
-// SweepTIDS.
-func SweepTIDSOpts(cfg Config, grid []float64, _ SweepOpts) ([]SweepPoint, error) {
-	return SweepTIDS(cfg, grid)
-}
-
 // evalSweep evaluates the points of a grid driver through the default
 // evaluator's Eval under its worker bound, checking the option context
 // before each point. Per-point errors are joined like RunBatch's.

@@ -26,7 +26,7 @@ func analyzeEach(t *testing.T, cfgs []Config) []*Result {
 }
 
 // TestSweepTIDSWarmStart pins Direct as the sweep's unpatched oracle on
-// the canonical TIDS sweep, through the legacy WarmStart spelling: every
+// the canonical TIDS sweep, through the WithWarmStart spelling: every
 // point is a full prepare of its own, bit for bit what Analyze returns,
 // and no point is patched. The patched sweep through the memoizing engine
 // is pinned against this oracle in internal/engine.
@@ -44,7 +44,7 @@ func TestSweepTIDSWarmStart(t *testing.T) {
 	}
 	cold := analyzeEach(t, cfgs)
 	before := ctmc.PatchedSolves()
-	warm, err := SweepTIDSOpts(cfg, PaperTIDSGrid, SweepOpts{WarmStart: true})
+	warm, err := SweepTIDS(cfg, PaperTIDSGrid, WithWarmStart())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSweepTIDSWarmStart(t *testing.T) {
 }
 
 // TestExploreDesignSpaceWarmStart asserts the design-space driver over
-// Direct returns the same point set as a full prepare per point, bit for
+// Direct, spelled with WithWarmStart, returns the same point set as a full prepare per point, bit for
 // bit, and patches nothing.
 func TestExploreDesignSpaceWarmStart(t *testing.T) {
 	cfg := DefaultConfig()
@@ -88,7 +88,7 @@ func TestExploreDesignSpaceWarmStart(t *testing.T) {
 	sort.Slice(cold, func(a, b int) bool { return cold[a].Ctotal < cold[b].Ctotal })
 
 	before := ctmc.PatchedSolves()
-	warm, err := ExploreDesignSpaceOpts(cfg, space, SweepOpts{WarmStart: true})
+	warm, err := ExploreDesignSpace(cfg, space, WithWarmStart())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -386,8 +386,8 @@ func TestPreparedReuse(t *testing.T) {
 	}
 }
 
-// TestWarmSweepPopulatesResultCache pins that a sweep under the legacy
-// WarmStart option, which selects nothing any more, still feeds the
+// TestWarmSweepPopulatesResultCache pins that a sweep under the
+// WithWarmStart option, which selects nothing any more, still feeds the
 // engine's Result cache through Eval: the points it computes are later
 // served as ordinary hits, whatever the family store holds.
 func TestWarmSweepPopulatesResultCache(t *testing.T) {
@@ -397,7 +397,7 @@ func TestWarmSweepPopulatesResultCache(t *testing.T) {
 
 	cfg := testConfig()
 	grid := []float64{60, 120}
-	points, err := core.SweepTIDSOpts(cfg, grid, core.SweepOpts{WarmStart: true})
+	points, err := core.SweepTIDS(cfg, grid, core.WithWarmStart())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestWarmSweepPopulatesResultCache(t *testing.T) {
 	// A repeat warm sweep over cached points rebuilds and re-solves
 	// nothing: every point is a Result-cache hit.
 	solves := ctmc.SolveCount()
-	if _, err := core.SweepTIDSOpts(cfg, grid, core.SweepOpts{WarmStart: true}); err != nil {
+	if _, err := core.SweepTIDS(cfg, grid, core.WithWarmStart()); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctmc.SolveCount() - solves; got != 0 {

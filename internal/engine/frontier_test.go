@@ -46,53 +46,72 @@ func sameFrontier(a, b []core.DesignPoint) bool {
 	return true
 }
 
+// TestAdaptiveFrontierExact runs the adaptive loop on a cold engine: it
+// must return exactly the full-grid frontier, within an evaluation budget
+// per grid, and stream well-formed revisions.
 func TestAdaptiveFrontierExact(t *testing.T) {
-	cfg := testConfig()
-	space := core.DefaultDesignSpace()
-	e := New(Options{})
+	dense := core.DefaultDesignSpace()
+	dense.TIDSGrid = []float64{5, 10, 15, 20, 30, 45, 60, 90, 120, 180, 240, 360, 480, 600, 900, 1200}
+	for _, tc := range []struct {
+		name  string
+		space core.DesignSpace
+		// maxEvals is the most fresh evaluations a cold run may spend on
+		// a grid of total points.
+		maxEvals func(total int) int
+	}{
+		{"default grid", core.DefaultDesignSpace(), func(total int) int { return total - 1 }},
+		// The 16-column TIDS grid (192 points) must converge on at most
+		// 40% of the grid's evaluations.
+		{"16-column TIDS grid", dense, func(total int) int { return total * 2 / 5 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			e := New(Options{})
 
-	var revs []FrontierRevision
-	frontier, evals, err := e.AdaptiveFrontier(context.Background(), cfg, FrontierOptions{Space: space}, func(rev FrontierRevision) error {
-		revs = append(revs, rev)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := space.Size()
-	if evals >= total {
-		t.Errorf("adaptive loop paid %d evals on a %d-point grid: no saving", evals, total)
-	}
-	t.Logf("adaptive: %d/%d evals (%.0f%%), frontier size %d",
-		evals, total, 100*float64(evals)/float64(total), len(frontier))
+			var revs []FrontierRevision
+			frontier, evals, err := e.AdaptiveFrontier(context.Background(), cfg, FrontierOptions{Space: tc.space}, func(rev FrontierRevision) error {
+				revs = append(revs, rev)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := tc.space.Size()
+			if limit := tc.maxEvals(total); evals > limit {
+				t.Errorf("adaptive loop paid %d evals on a %d-point grid, want at most %d", evals, total, limit)
+			}
+			t.Logf("adaptive: %d/%d evals (%.0f%%), frontier size %d",
+				evals, total, 100*float64(evals)/float64(total), len(frontier))
 
-	want := fullGridFrontier(t, e, cfg, space)
-	if !sameFrontier(frontier, want) {
-		t.Fatalf("adaptive frontier diverges from full grid:\n got %v\nwant %v", frontier, want)
-	}
+			want := fullGridFrontier(t, e, cfg, tc.space)
+			if !sameFrontier(frontier, want) {
+				t.Fatalf("adaptive frontier diverges from full grid:\n got %v\nwant %v", frontier, want)
+			}
 
-	// Revision stream invariants: generations strictly increase, the
-	// hypervolume never shrinks, and the terminal revision carries the
-	// returned frontier.
-	if len(revs) < 2 {
-		t.Fatalf("only %d revisions emitted", len(revs))
-	}
-	last := revs[len(revs)-1]
-	if !last.Done || !sameFrontier(last.Frontier, frontier) || last.Evals != evals {
-		t.Errorf("terminal revision %+v does not match returned state", last)
-	}
-	prevGen, prevHV := 0, 0.0
-	for _, rev := range revs[:len(revs)-1] {
-		if rev.Done || rev.Point == nil {
-			t.Fatalf("non-terminal revision without point: %+v", rev)
-		}
-		if rev.Generation <= prevGen {
-			t.Errorf("generation went %d -> %d", prevGen, rev.Generation)
-		}
-		if rev.Hypervolume < prevHV-1e-9 {
-			t.Errorf("hypervolume shrank %v -> %v", prevHV, rev.Hypervolume)
-		}
-		prevGen, prevHV = rev.Generation, rev.Hypervolume
+			// Revision stream invariants: generations strictly increase, the
+			// hypervolume never shrinks, and the terminal revision carries the
+			// returned frontier.
+			if len(revs) < 2 {
+				t.Fatalf("only %d revisions emitted", len(revs))
+			}
+			last := revs[len(revs)-1]
+			if !last.Done || !sameFrontier(last.Frontier, frontier) || last.Evals != evals {
+				t.Errorf("terminal revision %+v does not match returned state", last)
+			}
+			prevGen, prevHV := 0, 0.0
+			for _, rev := range revs[:len(revs)-1] {
+				if rev.Done || rev.Point == nil {
+					t.Fatalf("non-terminal revision without point: %+v", rev)
+				}
+				if rev.Generation <= prevGen {
+					t.Errorf("generation went %d -> %d", prevGen, rev.Generation)
+				}
+				if rev.Hypervolume < prevHV-1e-9 {
+					t.Errorf("hypervolume shrank %v -> %v", prevHV, rev.Hypervolume)
+				}
+				prevGen, prevHV = rev.Generation, rev.Hypervolume
+			}
+		})
 	}
 }
 

@@ -38,9 +38,9 @@ func (s Stage) String() string {
 
 // armed gates the hot-path timing instrumentation (spans, per-backend
 // solve histograms). Counters are never gated — they predate obs and are
-// load-bearing for /v1/stats — but timers cost two clock reads per solve,
-// which cmd/bench's metrics_overhead workload pins against the disarmed
-// baseline. Armed by default.
+// load-bearing for /v1/stats — but timers cost two clock reads per solve.
+// Arming must not add an allocation: ctmc's
+// TestArmedSolveAllocatesLikeDisarmed pins that. Armed by default.
 var armed atomic.Bool
 
 func init() { armed.Store(true) }
