@@ -22,6 +22,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Peer RPC paths (registered by internal/service when a cluster is wired).
@@ -32,37 +33,18 @@ const (
 	PeerPingPath    = "/v1/peer/ping"
 )
 
-// SolveRequest asks a peer to evaluate one configuration strictly locally
-// (cache, in-flight join, or its own solver — never re-routed, so a
-// routing loop is impossible by construction).
-type SolveRequest struct {
-	Config core.Config `json:"config"`
-}
-
-// SolveResponse is a peer solve's success body.
-type SolveResponse struct {
-	Result *core.Result `json:"result"`
-}
-
-// FillRequest replicates cache entries to a peer. From names the sending
-// node (for logs and counters); entries are admitted through the engine's
-// validated, skip-existing gate.
-type FillRequest struct {
-	From    string                 `json:"from"`
-	Entries []engine.SnapshotEntry `json:"entries"`
-}
-
-// FillResponse reports how many entries the peer admitted (existing keys
-// and non-finite entries are skipped).
-type FillResponse struct {
-	Admitted int `json:"admitted"`
-}
-
-// EntriesResponse carries a peer's export of the requester's ring arc —
-// every cached entry whose replica set includes the requesting node.
-type EntriesResponse struct {
-	Entries []engine.SnapshotEntry `json:"entries"`
-}
+// The peer bodies that carry configurations and results live in
+// internal/wire, which decodes them. A peer solve asks the owner to
+// evaluate one configuration strictly locally (cache, in-flight join, or
+// its own solver — never re-routed, so a routing loop is impossible by
+// construction), with the body and answer of POST /v1/eval.
+type (
+	SolveRequest    = wire.EvalRequest
+	SolveResponse   = wire.EvalResponse
+	FillRequest     = wire.FillRequest
+	FillResponse    = wire.FillResponse
+	EntriesResponse = wire.EntriesResponse
+)
 
 // PingResponse answers a heartbeat probe.
 type PingResponse struct {
@@ -150,7 +132,7 @@ func (pc *PeerClient) do(ctx context.Context, method, base, path string, body, o
 			io.Copy(io.Discard, resp.Body)
 			return nil
 		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := wire.Decode(resp.Body, out); err != nil {
 			return fmt.Errorf("%w: undecodable %s response: %v", ErrPeerUnavailable, path, err)
 		}
 		return nil

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/ctmc"
+	"repro/internal/shapes"
 )
 
 // incrementalTestGrid is the rate-only neighbourhood the patch+re-solve
@@ -262,5 +264,53 @@ func TestIncrementalSweepMatchesCold(t *testing.T) {
 		if d := (w.Ctotal - g.Ctotal) / w.Ctotal; d > 1e-10 || d < -1e-10 {
 			t.Errorf("TIDS=%v: incremental Ctotal %g vs cold %g", grid[i], g.Ctotal, w.Ctotal)
 		}
+	}
+}
+
+// TestValueDeclineDoesNotStick pins that a direct-solve decline caused by
+// one point's values lasts only for that point. The trigger (LambdaC
+// scaled by 1e-6, P2 = 1e-9, MTTSF around 1e10 s) stalls the direct
+// tier's refinement; the session's next point, at the paper's rates, must
+// go back to the direct tier and reproduce a fresh Analyze bitwise.
+func TestValueDeclineDoesNotStick(t *testing.T) {
+	base := DefaultConfig()
+	base.N, base.MaxGroups = 4, 2
+	base.Attacker, base.Detection = shapes.Logarithmic, shapes.Polynomial
+	base.M = 7
+	want, err := Analyze(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor, err := Prepare(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd, err := NewPreparedDelta(donor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trigger := base
+	trigger.LambdaC *= 1e-6
+	trigger.P2 = 1e-9
+	before := directDeclines(t)
+	p, err := pd.Prepared(trigger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	if d := directDeclines(t)["stalled"] - before["stalled"]; d != 1 {
+		t.Fatalf("trigger point: %g stalled direct-solve declines, want 1", d)
+	}
+	if p, err = pd.Prepared(base); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("point after a declined one:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -12,11 +12,12 @@ package ctmc
 // The answer is exact up to rounding, and it is still checked: the true
 // residual must reach the shared 1e-12 solver tolerance, with at most two
 // iterative-refinement passes through the same factors. A pattern with a
-// strongly connected component over directMaxBlock states, a singular
-// diagonal block, or refinement that stalls declines the direct solve for
-// good on that matrix, so a declined pattern costs one O(nnz) Tarjan pass
-// per chain and every later solve goes straight to the iterative rung.
-// Each decline is counted once, by reason, in
+// strongly connected component over directMaxBlock states declines the
+// pattern for good, so it costs one O(nnz) Tarjan pass per chain and every
+// later solve goes straight to the iterative rung. A singular diagonal
+// block or refinement that stalls depends on the values, so it declines
+// only the current values: a value-patched chain retries the direct solve
+// after its next patch. Each decline is counted once, by reason, in
 // repro_solver_direct_declines_total.
 
 import (
@@ -101,8 +102,8 @@ func (p *blockTriPattern) analyze(a *linalg.CSR) *linalg.BlockTriLU {
 }
 
 // blockTriDirect is one matrix's direct-solve state: its numeric
-// factorization over the pattern's shared analysis, made at most once, or
-// the record that the matrix was declined. Solves are serialized by mu
+// factorization over the pattern's shared analysis, or the record that the
+// pattern or the current values were declined. Solves are serialized by mu
 // (the factorization owns scratch space); the value-patched chain marks
 // the factors stale after rewriting the matrix values, and the next solve
 // refreshes them.
@@ -110,25 +111,29 @@ type blockTriDirect struct {
 	mu       sync.Mutex
 	pattern  *blockTriPattern // shared by every matrix of the pattern
 	analyzed bool
-	f        *linalg.BlockTriLU // nil before analysis and once declined
-	stale    bool
+	f        *linalg.BlockTriLU // nil before analysis and for a declined pattern
+	stale    bool               // values changed since f was factored
+	// failed records that the current values were declined (a singular
+	// block or stalled refinement); new values clear it.
+	failed bool
 }
 
 // invalidate records that the matrix values changed since the numeric
-// factorization (the symbolic analysis stays valid: the pattern is fixed).
+// factorization (the symbolic analysis stays valid: the pattern is fixed),
+// which also lifts a decline of the old values.
 func (d *blockTriDirect) invalidate() {
 	d.mu.Lock()
-	d.stale = true
+	d.stale, d.failed = true, false
 	d.mu.Unlock()
 }
 
-// declined reports whether the matrix was analyzed and turned down, so
-// callers that keep their own path for iterative solves can skip the
-// direct attempt.
+// declined reports whether the matrix was analyzed and its pattern or
+// current values turned down, so callers that keep their own path for
+// iterative solves can skip the direct attempt.
 func (d *blockTriDirect) declined() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.analyzed && d.f == nil
+	return d.analyzed && (d.f == nil || d.failed)
 }
 
 // solve returns the solution of a x = rhs and the number of refinement
@@ -138,29 +143,22 @@ func (d *blockTriDirect) declined() bool {
 func (d *blockTriDirect) solve(a *linalg.CSR, rhs, xBuf linalg.Vector) (x linalg.Vector, passes int, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	switch {
-	case !d.analyzed:
-		d.analyzed, d.stale = true, false
-		// A declined pattern (an SCC over directMaxBlock) or a singular
-		// block only says why the matrix is declined; the iterative rung
-		// answers.
-		proto := d.pattern.analyze(a)
-		if proto == nil {
-			return nil, 0, false
+	if !d.analyzed {
+		d.analyzed = true
+		// A declined pattern (an SCC over directMaxBlock) stays declined;
+		// the iterative rung answers.
+		if proto := d.pattern.analyze(a); proto != nil {
+			d.f, d.stale = proto.Clone(), true
 		}
-		f := proto.Clone()
-		if err := f.Refresh(a); err != nil {
-			countDecline(err)
-			return nil, 0, false
-		}
-		d.f = f
-	case d.f == nil:
+	}
+	if d.f == nil || d.failed {
 		return nil, 0, false
-	case d.stale:
+	}
+	if d.stale {
 		d.stale = false
 		if err := d.f.Refresh(a); err != nil {
 			countDecline(err)
-			d.f = nil
+			d.failed = true
 			return nil, 0, false
 		}
 	}
@@ -180,7 +178,7 @@ func (d *blockTriDirect) solve(a *linalg.CSR, rhs, xBuf linalg.Vector) (x linalg
 			return x, pass, true
 		}
 		if pass == directRefinePasses {
-			d.f = nil // stalled: decline this matrix from now on
+			d.failed = true // stalled: decline these values
 			declinedStalled.Inc()
 			return nil, pass, false
 		}

@@ -134,8 +134,9 @@ func (s *Simulator) Run(horizon float64) float64 {
 		s.fired++
 		e.handler(s.now)
 	}
-	if s.now < horizon && len(s.queue) == 0 {
-		// Advance the clock to the horizon for time-based statistics.
+	if s.now < horizon && len(s.queue) == 0 && !s.halted {
+		// Advance the clock to the horizon for time-based statistics; a
+		// halted run stops at the halting event's time.
 		s.now = horizon
 	}
 	return s.now

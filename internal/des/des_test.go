@@ -133,6 +133,20 @@ func TestHalt(t *testing.T) {
 	}
 }
 
+// TestHaltKeepsClockWithEmptyQueue pins that a run halted by the only
+// queued event returns that event's time, not the horizon: the queue is
+// empty after the halt, which must not advance the clock.
+func TestHaltKeepsClockWithEmptyQueue(t *testing.T) {
+	s := New()
+	s.Schedule(7, "fail", func(float64) { s.Halt() })
+	if got := s.Run(100); got != 7 {
+		t.Fatalf("Run returned %v, want the halting event's time 7", got)
+	}
+	if got := s.Now(); got != 7 {
+		t.Fatalf("clock at %v after the halt, want 7", got)
+	}
+}
+
 func TestSchedulePastPanics(t *testing.T) {
 	s := New()
 	s.Schedule(5, "e", func(float64) {})

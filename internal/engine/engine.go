@@ -291,7 +291,12 @@ func (e *Engine) Eval(cfg core.Config) (*core.Result, error) {
 // observed at point granularity, which is what lets a server stop burning
 // solver time on the remaining points of an abandoned batch.
 func (e *Engine) EvalContext(ctx context.Context, cfg core.Config) (*core.Result, error) {
-	key := Fingerprint(cfg)
+	return e.evalContext(ctx, Fingerprint(cfg), cfg)
+}
+
+// evalContext is EvalContext for a caller that already holds cfg's
+// Fingerprint.
+func (e *Engine) evalContext(ctx context.Context, key string, cfg core.Config) (*core.Result, error) {
 	return e.evalShared(ctx, key, cfg, func() (*core.Result, error) {
 		return e.evaluate(key, cfg)
 	})
@@ -303,7 +308,11 @@ func (e *Engine) EvalContext(ctx context.Context, cfg core.Config) (*core.Result
 // service's solve semaphore) and must not charge cache hits against
 // them. A found Result counts as a hit and is the caller's own copy.
 func (e *Engine) Cached(cfg core.Config) (*core.Result, bool) {
-	key := Fingerprint(cfg)
+	return e.cached(Fingerprint(cfg), cfg)
+}
+
+// cached is Cached for a caller that already holds cfg's Fingerprint.
+func (e *Engine) cached(key string, cfg core.Config) (*core.Result, bool) {
 	sh := e.shardFor(key)
 	sh.mu.Lock()
 	r, ok := sh.results.get(key)

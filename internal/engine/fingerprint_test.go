@@ -1,8 +1,13 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,10 +17,10 @@ import (
 	"repro/internal/shapes"
 )
 
-// fingerprintOracle is the earlier strings.Builder formatter of
-// Fingerprint, kept as the byte-for-byte oracle: snapshot keys, the schema
-// fingerprint, ring placement and cluster replica keys all depend on the
-// exact bytes.
+// fingerprintOracle formats every field the fingerprint covers exactly
+// (strconv's 'b' float format is the float's bits), with the effective
+// MaxStates and cost: two configurations share an oracle string exactly
+// when they must share a cache key.
 func fingerprintOracle(cfg core.Config) string {
 	var b strings.Builder
 	b.Grow(256)
@@ -112,21 +117,110 @@ func randomFingerprintConfig(rng *rand.Rand) core.Config {
 	return cfg
 }
 
-// TestFingerprintMatchesOracle pins Fingerprint byte for byte to the
-// earlier formatter over a seeded sample of configurations, and to one
-// allocation per call.
-func TestFingerprintMatchesOracle(t *testing.T) {
+// fingerprintInverse decodes a key back to the canonical configuration it
+// stands for: Parallelism and Solver zero, the effective MaxStates, and a
+// nil Cost for the derived-cost marker or else the explicit cost.
+func fingerprintInverse(key string) (core.Config, error) {
+	raw, err := base64.RawURLEncoding.DecodeString(key)
+	if err != nil {
+		return core.Config{}, err
+	}
+	r := bytes.NewReader(raw)
+	in := func() int {
+		v, e := binary.ReadVarint(r)
+		if e != nil {
+			err = e
+		}
+		return int(v)
+	}
+	fl := func() float64 {
+		var v uint64
+		if e := binary.Read(r, binary.LittleEndian, &v); e != nil {
+			err = e
+		}
+		return math.Float64frombits(v)
+	}
+	by := func() byte {
+		v, e := r.ReadByte()
+		if e != nil {
+			err = e
+		}
+		return v
+	}
+	c := core.Config{
+		Protocol: core.Protocol(in()), N: in(), Attacker: shapes.Kind(in()), Detection: shapes.Kind(in()),
+		LambdaC: fl(), TIDS: fl(), ShapeP: fl(), M: in(), P1: fl(), P2: fl(), LambdaQ: fl(),
+		JoinRate: fl(), LeaveRate: fl(), BandwidthBps: fl(), GDHElementBits: in(),
+		PartitionRate: fl(), MergeRate: fl(), MaxGroups: in(), MeanHops: fl(), MeanDegree: fl(),
+		ExplicitEviction: by() == 1, MaxStates: in(),
+	}
+	switch by() {
+	case costDerived:
+	case costExplicit:
+		c.Cost = &cost.Params{
+			PacketBits: fl(), StatusBits: fl(), StatusRate: fl(), VoteBits: fl(),
+			BeaconBits: fl(), BeaconRate: fl(), GDHElementBits: in(), MeanHops: fl(),
+			MeanDegree: fl(), LambdaQ: fl(), JoinRate: fl(), LeaveRate: fl(), M: in(),
+		}
+	default:
+		return core.Config{}, fmt.Errorf("bad cost marker")
+	}
+	if err == nil && r.Len() != 0 {
+		err = fmt.Errorf("%d trailing key bytes", r.Len())
+	}
+	return c, err
+}
+
+// canonicalConfig is the configuration fingerprintInverse must return for
+// cfg's key.
+func canonicalConfig(cfg core.Config) core.Config {
+	c := cfg
+	c.Parallelism, c.Solver, c.MaxStates = 0, "", cfg.EffectiveMaxStates()
+	if c.Cost != nil {
+		derived := cfg
+		derived.Cost = nil
+		p := *c.Cost
+		c.Cost = &p
+		if fingerprintOracle(derived) == fingerprintOracle(cfg) {
+			c.Cost = nil
+		}
+	}
+	return c
+}
+
+// TestFingerprintIsInjective decodes every key of a seeded sample of
+// configurations back to its canonical fields, bit for bit: a key that
+// determines the fields cannot be shared by two configurations that
+// differ in them. It also pins one allocation per call and the key
+// length.
+func TestFingerprintIsInjective(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	cfgs := []core.Config{core.DefaultConfig(), testConfig()}
 	for i := 0; i < 2000; i++ {
 		cfgs = append(cfgs, randomFingerprintConfig(rng))
 	}
+	spelled := core.DefaultConfig()
+	p := spelled.EffectiveCost()
+	spelled.Cost = &p
+	cfgs = append(cfgs, spelled)
 	for _, cfg := range cfgs {
-		if got, want := Fingerprint(cfg), fingerprintOracle(cfg); got != want {
-			t.Fatalf("config %+v:\n got %q\nwant %q", cfg, got, want)
+		key := Fingerprint(cfg)
+		if len(key) > maxKeyLen {
+			t.Fatalf("key of %d characters, bound %d", len(key), maxKeyLen)
+		}
+		got, err := fingerprintInverse(key)
+		if err != nil {
+			t.Fatalf("config %+v: key %q: %v", cfg, key, err)
+		}
+		want := canonicalConfig(cfg)
+		if !reflect.DeepEqual(got, want) || fingerprintOracle(got) != fingerprintOracle(want) {
+			t.Fatalf("config %+v:\nkey decodes to %+v\nwant          %+v", cfg, got, want)
 		}
 	}
 	cfg := core.DefaultConfig()
+	if n := len(Fingerprint(cfg)); n > 160 {
+		t.Errorf("default configuration's key has %d characters, want at most 160", n)
+	}
 	if n := testing.AllocsPerRun(100, func() { _ = Fingerprint(cfg) }); n != 1 {
 		t.Errorf("Fingerprint allocates %v times per call, want 1", n)
 	}

@@ -97,9 +97,12 @@ type FrontierRevision struct {
 // frontierCandidate is one grid point of the adaptive run.
 type frontierCandidate struct {
 	cfg  core.Config
+	key  string // cfg's Fingerprint
 	m    int
 	tids float64
 	det  shapes.Kind
+	fam  *frontierFamily
+	col  int // position in fam.cands
 	// metrics, valid once done.
 	mttsf, ctotal float64
 	done          bool
@@ -111,6 +114,19 @@ type frontierFamily struct {
 	det   shapes.Kind
 	cands []*frontierCandidate
 	ref   *frontierFamily // shape reference for this detection kind
+
+	// The surrogate's view of the family, kept by record: the done
+	// columns' MTTSF argmax and Ĉtotal argmin (the first on ties, -1
+	// before any column is done), and for each column its nearest done
+	// column on each side (itself on a side with none).
+	peak, valley int
+	lo, hi       []int
+}
+
+// familyKey indexes families by detection kind and m.
+type familyKey struct {
+	det shapes.Kind
+	m   int
 }
 
 // frontierRun is the mutable state of one AdaptiveFrontier call.
@@ -120,6 +136,7 @@ type frontierRun struct {
 	fm       *core.FrontierMaintainer
 	families []*frontierFamily
 	siblings map[shapes.Kind][]*frontierFamily // non-reference families per detection
+	byKey    map[familyKey][]*frontierFamily
 	total    int
 	budget   int
 	evals    int
@@ -167,7 +184,8 @@ func (e *Engine) AdaptiveFrontier(ctx context.Context, cfg core.Config, opts Fro
 // enumerate materializes the candidate families: one per (m, detection)
 // pair, sorted by ascending TIDS so neighbour bounds are well-defined even
 // on an unsorted grid. The smallest-m family of each detection kind
-// becomes that kind's shape reference.
+// becomes that kind's shape reference. Each candidate's cache key is
+// computed here, once.
 func (r *frontierRun) enumerate(cfg core.Config, space core.DesignSpace) {
 	grid := append([]float64(nil), space.TIDSGrid...)
 	sort.Float64s(grid)
@@ -175,16 +193,19 @@ func (r *frontierRun) enumerate(cfg core.Config, space core.DesignSpace) {
 	sort.Ints(ms)
 	refs := make(map[shapes.Kind]*frontierFamily, len(space.Detections))
 	r.siblings = make(map[shapes.Kind][]*frontierFamily, len(space.Detections))
+	r.byKey = make(map[familyKey][]*frontierFamily, len(ms)*len(space.Detections))
 	for _, m := range ms {
 		for _, k := range space.Detections {
-			fam := &frontierFamily{m: m, det: k}
-			for _, tids := range grid {
+			fam := &frontierFamily{m: m, det: k, peak: -1, valley: -1, lo: make([]int, len(grid)), hi: make([]int, len(grid))}
+			for i, tids := range grid {
 				c := cfg
 				c.M = m
 				c.TIDS = tids
 				c.Detection = k
-				fam.cands = append(fam.cands, &frontierCandidate{cfg: c, m: m, tids: tids, det: k})
+				fam.cands = append(fam.cands, &frontierCandidate{cfg: c, key: Fingerprint(c), m: m, tids: tids, det: k, fam: fam, col: i})
 			}
+			fam.indexNeighbours()
+			r.byKey[familyKey{k, m}] = append(r.byKey[familyKey{k, m}], fam)
 			if refs[k] == nil {
 				refs[k] = fam
 			} else {
@@ -205,7 +226,7 @@ func (r *frontierRun) run(ctx context.Context) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if res, ok := r.e.Cached(c.cfg); ok {
+			if res, ok := r.e.cached(c.key, c.cfg); ok {
 				if err := r.record(c, res.MTTSF, res.Ctotal); err != nil {
 					return err
 				}
@@ -366,15 +387,7 @@ func (r *frontierRun) bracketFamily(ctx context.Context, fam *frontierFamily) er
 
 // argmaxM returns the position of the family's best evaluated MTTSF (0 if
 // nothing is evaluated yet).
-func (f *frontierFamily) argmaxM() int {
-	best, bestM := 0, math.Inf(-1)
-	for i, c := range f.cands {
-		if c.done && c.mttsf > bestM {
-			best, bestM = i, c.mttsf
-		}
-	}
-	return best
-}
+func (f *frontierFamily) argmaxM() int { return max(f.peak, 0) }
 
 // pickNext returns the unevaluated candidate with the largest optimistic
 // hypervolume gain — redirected down the m ladder: if a smaller-m family
@@ -564,14 +577,8 @@ func (r *frontierRun) crossM(fam, g *frontierFamily, i, depth int) float64 {
 func (r *frontierRun) stepRatioAt(det shapes.Kind, lo, hi int, t float64) float64 {
 	k := r.opts.Optimism
 	bound := math.Inf(1)
-	for _, f := range r.families {
-		if f.m != hi || f.det != det {
-			continue
-		}
-		for _, g := range r.families {
-			if g.m != lo || g.det != det {
-				continue
-			}
+	for _, f := range r.byKey[familyKey{det, hi}] {
+		for _, g := range r.byKey[familyKey{det, lo}] {
 			for a := range f.cands {
 				if !f.cands[a].done || !g.cands[a].done {
 					continue
@@ -691,72 +698,63 @@ func octaves(a, b float64) float64 {
 	return math.Abs(math.Log2(b / a))
 }
 
+// argminC returns the position of the family's cheapest evaluated Ĉtotal
+// (0 if nothing is evaluated yet).
+func (f *frontierFamily) argminC() int { return max(f.valley, 0) }
+
 // peakBracket returns the done indices bracketing the family's MTTSF
 // peak: the done neighbours of the evaluated argmax. By unimodality the
 // true peak lies inside the open bracket, so candidates at or outside
 // either end are capped by that end's value; interior candidates are
 // capped by the ends plus a span-scaled overshoot margin.
-func (f *frontierFamily) argminC() int {
-	best, bestC := 0, math.Inf(1)
-	for i, c := range f.cands {
-		if c.done && c.ctotal < bestC {
-			best, bestC = i, c.ctotal
-		}
-	}
-	return best
-}
 func (f *frontierFamily) peakBracket() (lo, best, hi int, ok bool) {
-	best = -1
-	for i, c := range f.cands {
-		if c.done && (best < 0 || c.mttsf > f.cands[best].mttsf) {
-			best = i
-		}
-	}
-	if best < 0 {
+	if f.peak < 0 {
 		return 0, 0, 0, false
 	}
-	lo, hi = f.doneNeighbours(best)
-	return lo, best, hi, true
+	return f.lo[f.peak], f.peak, f.hi[f.peak], true
 }
 
 // valleyBracket is peakBracket's dual for the Ĉtotal valley.
 func (f *frontierFamily) valleyBracket() (lo, best, hi int, ok bool) {
-	best = -1
-	for i, c := range f.cands {
-		if c.done && (best < 0 || c.ctotal < f.cands[best].ctotal) {
-			best = i
-		}
-	}
-	if best < 0 {
+	if f.valley < 0 {
 		return 0, 0, 0, false
 	}
-	lo, hi = f.doneNeighbours(best)
-	return lo, best, hi, true
+	return f.lo[f.valley], f.valley, f.hi[f.valley], true
 }
 
 // doneNeighbours returns the nearest done indices on each side of i (i
 // itself when a side has none).
-func (f *frontierFamily) doneNeighbours(i int) (lo, hi int) {
-	lo, hi = i, i
-	for j := i - 1; j >= 0; j-- {
-		if f.cands[j].done {
-			lo = j
-			break
+func (f *frontierFamily) doneNeighbours(i int) (lo, hi int) { return f.lo[i], f.hi[i] }
+
+// indexNeighbours recomputes every column's done neighbours in one pass
+// each way.
+func (f *frontierFamily) indexNeighbours() {
+	last := -1
+	for j, c := range f.cands {
+		f.lo[j] = j
+		if last >= 0 {
+			f.lo[j] = last
+		}
+		if c.done {
+			last = j
 		}
 	}
-	for j := i + 1; j < len(f.cands); j++ {
+	last = -1
+	for j := len(f.cands) - 1; j >= 0; j-- {
+		f.hi[j] = j
+		if last >= 0 {
+			f.hi[j] = last
+		}
 		if f.cands[j].done {
-			hi = j
-			break
+			last = j
 		}
 	}
-	return lo, hi
 }
 
 // evalCandidate charges one fresh evaluation (through the gate, on the
 // engine's pooled miss path) and folds the outcome in.
 func (r *frontierRun) evalCandidate(ctx context.Context, c *frontierCandidate) error {
-	if res, ok := r.e.Cached(c.cfg); ok { // raced in since seeding: free
+	if res, ok := r.e.cached(c.key, c.cfg); ok { // raced in since seeding: free
 		return r.record(c, res.MTTSF, res.Ctotal)
 	}
 	if r.opts.Eval != nil {
@@ -775,7 +773,7 @@ func (r *frontierRun) evalCandidate(ctx context.Context, c *frontierCandidate) e
 		}
 		release = rel
 	}
-	res, err := r.e.EvalContext(ctx, c.cfg)
+	res, err := r.e.evalContext(ctx, c.key, c.cfg)
 	release()
 	if err != nil {
 		return fmt.Errorf("engine: frontier (m=%d TIDS=%v detection=%v): %w", c.m, c.tids, c.det, err)
@@ -784,10 +782,19 @@ func (r *frontierRun) evalCandidate(ctx context.Context, c *frontierCandidate) e
 	return r.record(c, res.MTTSF, res.Ctotal)
 }
 
-// record marks a candidate evaluated, inserts it into the frontier, and
-// emits a revision when the frontier changed.
+// record marks a candidate evaluated (each is recorded once), updates its
+// family's argmax, argmin and done neighbours, inserts it into the
+// frontier, and emits a revision when the frontier changed.
 func (r *frontierRun) record(c *frontierCandidate, mttsf, ctotal float64) error {
 	c.mttsf, c.ctotal, c.done = mttsf, ctotal, true
+	f := c.fam
+	if p := f.peak; p < 0 || mttsf > f.cands[p].mttsf || (mttsf == f.cands[p].mttsf && c.col < p) {
+		f.peak = c.col
+	}
+	if v := f.valley; v < 0 || ctotal < f.cands[v].ctotal || (ctotal == f.cands[v].ctotal && c.col < v) {
+		f.valley = c.col
+	}
+	f.indexNeighbours()
 	r.maxC = math.Max(r.maxC, ctotal)
 	d := r.fm.Insert(core.DesignPoint{
 		M: c.m, TIDS: c.tids, Detection: c.det, MTTSF: mttsf, Ctotal: ctotal,

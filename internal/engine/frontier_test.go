@@ -302,3 +302,80 @@ func TestAdaptiveFrontierPooledMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// scanArgmax and scanArgmin are the full scans record's incremental
+// argmax and argmin replaced: the first done column with the largest
+// MTTSF (smallest Ĉtotal), -1 when none is done.
+func scanArgmax(f *frontierFamily) int {
+	best := -1
+	for i, c := range f.cands {
+		if c.done && (best < 0 || c.mttsf > f.cands[best].mttsf) {
+			best = i
+		}
+	}
+	return best
+}
+
+func scanArgmin(f *frontierFamily) int {
+	best := -1
+	for i, c := range f.cands {
+		if c.done && (best < 0 || c.ctotal < f.cands[best].ctotal) {
+			best = i
+		}
+	}
+	return best
+}
+
+// scanDoneNeighbours is the walk record's neighbour index replaced.
+func scanDoneNeighbours(f *frontierFamily, i int) (lo, hi int) {
+	lo, hi = i, i
+	for j := i - 1; j >= 0; j-- {
+		if f.cands[j].done {
+			lo = j
+			break
+		}
+	}
+	for j := i + 1; j < len(f.cands); j++ {
+		if f.cands[j].done {
+			hi = j
+			break
+		}
+	}
+	return lo, hi
+}
+
+// TestFrontierSurrogateStateMatchesScans records every candidate of a grid
+// in random orders, with metrics drawn from a few values so ties are
+// common, and checks after each record that every family's kept argmax,
+// argmin and done neighbours equal the full scans.
+func TestFrontierSurrogateStateMatchesScans(t *testing.T) {
+	space := core.DefaultDesignSpace()
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20; trial++ {
+		r := &frontierRun{e: New(Options{}), fm: core.NewFrontierMaintainer()}
+		r.enumerate(testConfig(), space)
+		var all []*frontierCandidate
+		for _, f := range r.families {
+			all = append(all, f.cands...)
+		}
+		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+		for n, c := range all {
+			if err := r.record(c, float64(1+rng.Intn(4)), float64(1+rng.Intn(4))); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range r.families {
+				if f.peak != scanArgmax(f) || f.valley != scanArgmin(f) {
+					t.Fatalf("trial %d after %d records: argmax %d argmin %d, scans %d %d",
+						trial, n+1, f.peak, f.valley, scanArgmax(f), scanArgmin(f))
+				}
+				for i := range f.cands {
+					lo, hi := f.doneNeighbours(i)
+					if wlo, whi := scanDoneNeighbours(f, i); lo != wlo || hi != whi {
+						t.Fatalf("trial %d after %d records: column %d neighbours (%d, %d), scan (%d, %d)",
+							trial, n+1, i, lo, hi, wlo, whi)
+					}
+				}
+			}
+		}
+	}
+}

@@ -101,8 +101,10 @@ func (e *Engine) RestoreEntries(entries []SnapshotEntry) int {
 // schemaFormatVersion versions the fingerprint/snapshot contract itself,
 // independent of struct shapes: bump it to invalidate every existing
 // snapshot after a semantic change that reflection cannot see (e.g. the
-// canonicalization rules in Fingerprint).
-const schemaFormatVersion = 1
+// canonicalization rules in Fingerprint). Version 2 is the binary base64
+// key layout; version 1 keys were strconv-formatted text, which a version 2
+// engine would never look up.
+const schemaFormatVersion = 2
 
 // SchemaFingerprint digests the canonical fingerprint schema — the exact
 // field names and types of core.Config (the 25-field pin held by

@@ -106,8 +106,8 @@ func TestSchemaFingerprintIsStable(t *testing.T) {
 	if a != b {
 		t.Fatalf("SchemaFingerprint is not deterministic: %q vs %q", a, b)
 	}
-	if !strings.HasPrefix(a, "v1:") || len(a) != len("v1:")+16 {
-		t.Fatalf("SchemaFingerprint %q, want \"v1:\" + 16 hex digits", a)
+	if !strings.HasPrefix(a, "v2:") || len(a) != len("v2:")+16 {
+		t.Fatalf("SchemaFingerprint %q, want \"v2:\" + 16 hex digits", a)
 	}
 }
 

@@ -168,6 +168,21 @@ func TestStaleSchemaRejected(t *testing.T) {
 	}
 }
 
+// TestV1SnapshotRejected pins that a snapshot written under the version 1
+// fingerprint format (text keys), whose schema string this is, is refused
+// rather than loaded as entries no version 2 key would ever hit.
+func TestV1SnapshotRejected(t *testing.T) {
+	e1, _ := populate(t)
+	path := filepath.Join(t.TempDir(), "cache.snap")
+	if err := saveWithSchema(path, "v1:8149e1be9d7f02a0", e1.SnapshotEntries()); err != nil {
+		t.Fatal(err)
+	}
+	e2 := engine.New(engine.Options{})
+	if n, err := WarmStart(e2, path); !errors.Is(err, ErrStaleSchema) || n != 0 || e2.Stats().Entries != 0 {
+		t.Fatalf("v1 snapshot: %d entries loaded, err = %v, want none and ErrStaleSchema", n, err)
+	}
+}
+
 // TestForeignFileRejected pins that an arbitrary file is ErrCorrupt, not a
 // crash.
 func TestForeignFileRejected(t *testing.T) {

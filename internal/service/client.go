@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // ErrOverloaded reports a 429 from the server's admission control; the
@@ -319,7 +320,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, payload []byt
 
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := wire.Decode(resp.Body, out); err != nil {
 			return fmt.Errorf("service: decoding %s response: %w", path, err), false, 0
 		}
 		return nil, false, 0

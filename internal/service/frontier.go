@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // ndjsonType is the streaming content type: one JSON document per line.
@@ -60,19 +61,9 @@ type FrontierLine struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// BatchStreamLine is one NDJSON line of a streamed POST /v1/batch response:
-// the result (or per-point error) for Configs[Index]. Lines arrive in index
-// order, each flushed as soon as its point resolves.
-type BatchStreamLine struct {
-	Index  int          `json:"index"`
-	Result *core.Result `json:"result,omitempty"`
-	Error  string       `json:"error,omitempty"`
-	// Done marks the terminal line: every point line has been written.
-	// The line carries no result; Index is the point count and TraceID
-	// the request's trace id.
-	Done    bool   `json:"done,omitempty"`
-	TraceID string `json:"trace_id,omitempty"`
-}
+// BatchStreamLine is one NDJSON line of a streamed POST /v1/batch response
+// (see wire.BatchStreamLine).
+type BatchStreamLine = wire.BatchStreamLine
 
 // handleFrontier serves POST /v1/frontier: the adaptive frontier loop with
 // one NDJSON line per frontier revision. Pre-flight failures (bad request,
@@ -329,7 +320,7 @@ func (c *Client) evalBatchStreamOnce(ctx context.Context, cfgs []core.Config, on
 	sc := streamScanner(resp)
 	for sc.Scan() {
 		var line BatchStreamLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+		if err := wire.Unmarshal(sc.Bytes(), &line); err != nil {
 			return fmt.Errorf("service: undecodable batch line: %w", err)
 		}
 		if line.Done {

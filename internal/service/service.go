@@ -41,6 +41,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/persist"
+	"repro/internal/wire"
 )
 
 // Backend is the evaluation surface the service fronts. *engine.Engine
@@ -314,29 +315,14 @@ func (s *Server) Stats() Stats {
 
 // --- Wire types ---
 
-// EvalRequest is the POST /v1/eval body.
-type EvalRequest struct {
-	Config core.Config `json:"config"`
-}
-
-// EvalResponse is the POST /v1/eval success body.
-type EvalResponse struct {
-	Result *core.Result `json:"result"`
-}
-
-// BatchRequest is the POST /v1/batch body.
-type BatchRequest struct {
-	Configs []core.Config `json:"configs"`
-}
-
-// BatchResponse is the POST /v1/batch success body: Results[i] answers
-// Configs[i]. When any point failed, Errors is the same length with the
-// failing points' messages (empty string = point succeeded, Results[i]
-// set); an all-success batch omits Errors entirely.
-type BatchResponse struct {
-	Results []*core.Result `json:"results"`
-	Errors  []string       `json:"errors,omitempty"`
-}
+// The bodies that carry configurations and results live in internal/wire,
+// which decodes them; these names keep the service's API.
+type (
+	EvalRequest   = wire.EvalRequest
+	EvalResponse  = wire.EvalResponse
+	BatchRequest  = wire.BatchRequest
+	BatchResponse = wire.BatchResponse
+)
 
 // StatsResponse is the GET /v1/stats body.
 type StatsResponse struct {
@@ -505,7 +491,7 @@ func (s *Server) evalPointInner(ctx context.Context, cfg core.Config) (*core.Res
 // 413/400 itself and returning false when the request is unusable.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	if err := wire.Decode(body, v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,

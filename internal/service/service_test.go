@@ -417,6 +417,26 @@ func TestBodySizeCap(t *testing.T) {
 	}
 }
 
+// TestBodyPaddedPastCap pins the edge the size cap leaves open, as
+// json.Decoder left it: a complete value inside MaxBodyBytes decodes and
+// is answered even when whitespace padding runs past the cap, because the
+// decoder never needs the bytes after the value.
+func TestBodyPaddedPastCap(t *testing.T) {
+	body, _ := json.Marshal(EvalRequest{Config: testConfig()})
+	ts := httptest.NewServer(New(Options{Backend: engine.New(engine.Options{}), MaxBodyBytes: int64(len(body) + 16)}))
+	t.Cleanup(ts.Close)
+	padded := append(body, bytes.Repeat([]byte(" "), 4096)...)
+	resp, err := http.Post(ts.URL+"/v1/eval", "application/json", bytes.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out EvalResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK || out.Result == nil {
+		t.Fatalf("padded body: HTTP %d, %v, result %v; want 200 with a result", resp.StatusCode, err, out.Result)
+	}
+}
+
 // TestStatsAndHealth pins the observability endpoints: healthz answers ok,
 // and /v1/stats reflects both engine accounting and service counters.
 func TestStatsAndHealth(t *testing.T) {
